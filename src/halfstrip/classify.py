@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .drift import AsymptoticCoefficients, RegimeTag
@@ -81,12 +81,16 @@ class LampertiCoefficients:
 
 @dataclass(frozen=True)
 class Classification:
+    """``transform`` is ``transform_generalized``'s (LampertiCoefficients,
+    PoissonSolution) from the generalized classifier, for reuse; else None."""
+
     verdict: Verdict
     U: float
     V: float
     margin: float
     regime: RegimeTag
     notes: str = ""
+    transform: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,13 @@ class MomentReport:
         return None if self.infinite_from is None else (self.infinite_from, math.inf)
 
 
+def _require_finite(U: float, V: float) -> None:
+    if not (math.isfinite(U) and math.isfinite(V)):
+        raise ValueError(f"U={U!r} and V={V!r} must be finite to reach a verdict")
+
+
 def _decide(U: float, V: float, refined: bool, tol: float, regime: RegimeTag, extra: str = "") -> Classification:
+    _require_finite(U, V)
     margin = abs(abs(U) - V)
     if U - V > tol:
         verdict = Verdict.TRANSIENT
@@ -253,10 +263,11 @@ def classify_generalized(
         raise ArithmeticError(
             f"direct and transformed (U, V) disagree by {gap:.3e}"
         )
-    return _decide(
+    cls = _decide(
         U, V, refined, tol, RegimeTag.GENERALIZED_LAMPERTI,
         extra=f"a={a.as_dict()!r} residual={a.residual:.2e}",
     )
+    return replace(cls, transform=(lc, a))
 
 
 def moment_threshold(U: float, V: float, p_cap: float = math.inf) -> MomentReport:
@@ -267,6 +278,7 @@ def moment_threshold(U: float, V: float, p_cap: float = math.inf) -> MomentRepor
     p_cap; beyond the cap nothing is settled. Finiteness at s = theta*
     exactly is undetermined.
     """
+    _require_finite(U, V)
     if V <= 0.0:
         raise DegenerateVarianceError(f"V={V!r} must be positive")
     if p_cap <= 0.0:

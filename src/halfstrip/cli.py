@@ -16,11 +16,12 @@ import sys
 
 from . import __version__
 from .classify import (
+    ANALYTIC_TOL,
+    FITTED_TOL,
     DegenerateVarianceError,
     classify_constant,
     classify_generalized,
     moment_threshold,
-    transform_generalized,
 )
 from .drift import (
     DEFAULT_GRID,
@@ -39,8 +40,6 @@ from .sim import (
     write_samples_csv,
 )
 
-ANALYTIC_TOL = 1e-9
-FITTED_TOL = 1e-4
 TAIL_BAND = 0.15
 COEFF_MATCH_TOL = 1e-3
 
@@ -113,9 +112,22 @@ def _parse_start(text: str, model) -> State:
     raise SystemExit(f"error: label {label_txt!r} is not one of {list(model.labels)!r}")
 
 
+def _route(coeffs, tol, refined, centering_tol, p_cap=math.inf):
+    """coefficients -> regime -> verdict -> moments, for ``analyze`` and ``verify``.
+
+    Returns (regime, classification, moments); moments is None in the
+    constant-drift regime.
+    """
+    regime = check_regime(coeffs, tol=tol)
+    if regime is RegimeTag.CONSTANT_DRIFT:
+        return regime, classify_constant(coeffs, tol=tol), None
+    cls = classify_generalized(coeffs, refined=refined, tol=tol, centering_tol=centering_tol)
+    return regime, cls, moment_threshold(cls.U, cls.V, p_cap)
+
+
 def _analysis_payload(spec, digest, path, tol, refined, p_cap, centering_tol):
-    """Shared pipeline: spec -> coefficients -> regime -> verdict -> moments."""
-    if spec.get("type") == "coefficients":
+    """spec -> coefficients -> ``_route`` -> JSON report."""
+    if isinstance(spec, dict) and spec.get("type") == "coefficients":
         coeffs = AsymptoticCoefficients.from_dict(spec)
         kind = "coefficients"
         default_tol = ANALYTIC_TOL
@@ -130,19 +142,11 @@ def _analysis_payload(spec, digest, path, tol, refined, p_cap, centering_tol):
     if centering_tol is None:
         centering_tol = max(tol, 1e-9)
     refined = refined or coeffs.refined_rates_hold
-    regime = check_regime(coeffs, tol=tol)
-
+    regime, classification, moments = _route(coeffs, tol, refined, centering_tol, p_cap)
     transform = None
-    moments = None
-    if regime is RegimeTag.CONSTANT_DRIFT:
-        classification = classify_constant(coeffs, tol=tol)
-    else:
-        lc, a = transform_generalized(coeffs, centering_tol=centering_tol)
-        classification = classify_generalized(
-            coeffs, refined=refined, tol=tol, centering_tol=centering_tol
-        )
+    if classification.transform is not None:
+        a = classification.transform[1]
         transform = {"a": {str(k): v for k, v in a.as_dict().items()}, "residual": a.residual}
-        moments = _moments_dict(moment_threshold(classification.U, classification.V, p_cap))
 
     return {
         "tool": {"name": "halfstrip", "version": __version__},
@@ -158,7 +162,7 @@ def _analysis_payload(spec, digest, path, tol, refined, p_cap, centering_tol):
         "regime": regime.value,
         "transform": transform,
         "classification": _classification_dict(classification),
-        "moments": moments,
+        "moments": None if moments is None else _moments_dict(moments),
     }
 
 
@@ -267,14 +271,8 @@ def cmd_verify(args) -> int:
         )
 
     tol = FITTED_TOL if args.tol is None else args.tol
-    regime = check_regime(coeffs, tol=tol)
-    classification = None
-    theta = None
-    if regime is RegimeTag.CONSTANT_DRIFT:
-        classification = classify_constant(coeffs, tol=tol)
-    else:
-        classification = classify_generalized(coeffs, refined=args.refined, tol=tol)
-        theta = moment_threshold(classification.U, classification.V).theta_star
+    regime, classification, moments = _route(coeffs, tol, args.refined, None)
+    theta = None if moments is None else moments.theta_star
     print(
         f"INFO analytic verdict: {classification.verdict.value} "
         f"(U={classification.U:.6g}, V={classification.V:.6g}, regime={regime.value})"
@@ -321,11 +319,7 @@ def cmd_verify(args) -> int:
 
     if theta is not None and 0 < theta < 1 and diag.censored_fraction < 0.5:
         try:
-            samples = sample_passage_times(
-                model, start, args.level, args.cap, args.n, args.seed,
-                workers=args.threads,
-            )
-            est = tail_exponent(samples, min_uncensored=min(1000, args.n // 2))
+            est = tail_exponent(diag.samples, min_uncensored=min(1000, args.n // 2))
             checks.append(
                 _check(
                     "tail-exponent",
@@ -339,7 +333,7 @@ def cmd_verify(args) -> int:
 
     lyap_rows = []
     if args.lyapunov and regime is not RegimeTag.CONSTANT_DRIFT:
-        lc, a = transform_generalized(coeffs, centering_tol=max(tol, 1e-9))
+        lc, a = classification.transform
         target = shift_model(model, a.as_dict()) if any(a.values) else model
         for nu in (1.0, 2.0):
             spec_l = lyapunov_spec(nu, {k: 0.0 for k in model.labels})

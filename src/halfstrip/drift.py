@@ -26,6 +26,7 @@ from .markov import (
     StochasticMatrix,
     stationary_distribution,
 )
+from .model import parse_labels, parse_number
 
 DEFAULT_GRID = tuple(float(x) for x in np.logspace(2, 5, 7))
 RESIDUAL_THRESHOLD = 1e-6
@@ -150,6 +151,8 @@ class AsymptoticCoefficients:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AsymptoticCoefficients":
+        if not isinstance(data, dict):
+            raise ValueError(f"coefficients spec: expected an object, got {type(data).__name__}")
         required = {"labels", "d", "e", "t2", "d_cross", "gamma", "Q"}
         optional = {"type", "pi", "fit_residuals", "warnings", "refined_rates_hold"}
         unknown = set(data) - required - optional
@@ -158,10 +161,27 @@ class AsymptoticCoefficients:
         missing = required - set(data)
         if missing:
             raise ValueError(f"coefficients spec: missing keys {sorted(missing)!r}")
-        labels = tuple(data["labels"])
-        Q = StochasticMatrix(labels, np.array(data["Q"], dtype=float))
+        labels = parse_labels(data["labels"], "coefficients spec")
+        n = len(labels)
+
+        def vec(name, value):
+            if not isinstance(value, list) or len(value) != n:
+                raise ValueError(f"coefficients spec: {name} must be a list of {n} entries")
+            return [parse_number(x, f"coefficients spec: {name}") for x in value]
+
+        def mat(name):
+            rows = data[name]
+            if not isinstance(rows, list) or len(rows) != n:
+                raise ValueError(f"coefficients spec: {name} must be {n}x{n}")
+            return [vec(name, row) for row in rows]
+
+        def pairs(name):
+            m = mat(name)
+            return {(i, j): m[a][b] for a, i in enumerate(labels) for b, j in enumerate(labels)}
+
+        Q = StochasticMatrix(labels, mat("Q"))
         if "pi" in data:
-            pi = StationaryDistribution(labels, np.array(data["pi"], dtype=float))
+            pi = StationaryDistribution(labels, vec("pi", data["pi"]))
             defect = float(np.max(np.abs(pi.weights @ Q.entries - pi.weights)))
             if defect > 1e-8:
                 raise ValueError(
@@ -170,27 +190,21 @@ class AsymptoticCoefficients:
                 )
         else:
             pi = stationary_distribution(Q)
-        def vec(name):
-            v = data[name]
-            if len(v) != len(labels):
-                raise ValueError(f"coefficients spec: {name} must have {len(labels)} entries")
-            return {k: float(x) for k, x in zip(labels, v)}
-        def mat(name):
-            m = np.array(data[name], dtype=float)
-            if m.shape != (len(labels), len(labels)):
-                raise ValueError(f"coefficients spec: {name} must be {len(labels)}x{len(labels)}")
-            return {(i, j): float(m[a, b]) for a, i in enumerate(labels) for b, j in enumerate(labels)}
+        fit_residuals = data.get("fit_residuals", {})
+        warnings = data.get("warnings", [])
+        if not isinstance(fit_residuals, dict) or not isinstance(warnings, list):
+            raise ValueError("coefficients spec: fit_residuals must be an object, warnings a list")
         return cls(
             labels=labels,
-            d=vec("d"),
-            e=vec("e"),
-            t2=vec("t2"),
-            d_cross=mat("d_cross"),
-            gamma=mat("gamma"),
+            d=dict(zip(labels, vec("d", data["d"]))),
+            e=dict(zip(labels, vec("e", data["e"]))),
+            t2=dict(zip(labels, vec("t2", data["t2"]))),
+            d_cross=pairs("d_cross"),
+            gamma=pairs("gamma"),
             Q_limit=Q,
             pi=pi,
-            fit_residuals=dict(data.get("fit_residuals", {})),
-            warnings=tuple(data.get("warnings", ())),
+            fit_residuals=dict(fit_residuals),
+            warnings=tuple(warnings),
             refined_rates_hold=bool(data.get("refined_rates_hold", False)),
         )
 

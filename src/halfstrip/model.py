@@ -16,6 +16,7 @@ kernel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -555,6 +556,35 @@ def make_crw(
 # generic tabular models
 # --------------------------------------------------------------------------
 
+def parse_number(value, where: str) -> float:
+    """A finite JSON number as a float.
+
+    Raises ModelSpecError for anything else -- null, booleans, strings, lists,
+    objects, NaN, infinities and integers too large for a float -- so no
+    malformed number reaches a kernel or a verdict.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelSpecError(f"{where}: expected a number, got {value!r:.40}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ModelSpecError(f"{where}: expected a finite number, got {x!r}")
+    return x
+
+
+def parse_labels(value, where: str) -> tuple:
+    """A non-empty list of distinct integer or string labels, as a tuple."""
+    if not isinstance(value, (list, tuple)) or not value or any(
+        isinstance(k, bool) or not isinstance(k, (int, str)) for k in value
+    ):
+        raise ModelSpecError(f"{where}: labels must be a non-empty list of integers or strings")
+    if len(set(value)) != len(value):
+        raise ModelSpecError(f"{where}: labels must not repeat")
+    return tuple(value)
+
+
 def _check_keys(obj: dict, required: set, optional: set, where: str):
     if not isinstance(obj, dict):
         raise ModelSpecError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -568,10 +598,16 @@ def _check_keys(obj: dict, required: set, optional: set, where: str):
 
 
 def _parse_prob(p, where: str):
-    if isinstance(p, (int, float)) and not isinstance(p, bool):
-        return float(p), 0.0, 0.0
+    if not isinstance(p, dict):
+        return parse_number(p, where), 0.0, 0.0
     _check_keys(p, {"const"}, {"inv_x", "pow"}, where)
-    return float(p["const"]), float(p.get("inv_x", 0.0)), float(p.get("pow", 0.0))
+    return tuple(parse_number(p.get(key, 0.0), f"{where} {key}") for key in ("const", "inv_x", "pow"))
+
+
+def _check_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ModelSpecError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
 
 
 def make_tabular(spec: dict) -> ChainModel:
@@ -601,15 +637,13 @@ def make_tabular(spec: dict) -> ChainModel:
     )
     if spec.get("type", "tabular") != "tabular":
         raise ModelSpecError(f"not a tabular spec: type={spec.get('type')!r}")
-    labels = tuple(spec["labels"])
-    if not labels or len(set(labels)) != len(labels):
-        raise ModelSpecError("labels must be a non-empty list without duplicates")
-    delta = float(spec.get("delta", 1.0))
+    labels = parse_labels(spec["labels"], "tabular spec")
+    delta = parse_number(spec.get("delta", 1.0), "delta")
     if delta <= 0.0:
         raise ModelSpecError("delta must be positive")
 
     lines_spec = spec["lines"]
-    if set(lines_spec) != {str(k) for k in labels}:
+    if not isinstance(lines_spec, dict) or set(lines_spec) != {str(k) for k in labels}:
         raise ModelSpecError(
             f"lines must be keyed by exactly the labels {sorted(str(k) for k in labels)!r}"
         )
@@ -618,7 +652,7 @@ def make_tabular(spec: dict) -> ChainModel:
     lines = []
     nontrivial = False
     for li, label in enumerate(labels):
-        atoms = lines_spec[str(label)]
+        atoms = _check_list(lines_spec[str(label)], f"line {label!r}")
         if not atoms:
             raise ModelSpecError(f"line {label!r} has no atoms")
         jumps, next_idx, consts, invs, pows = [], [], [], [], []
@@ -628,7 +662,7 @@ def make_tabular(spec: dict) -> ChainModel:
             if atom["next"] not in labels:
                 raise ModelSpecError(f"{where}: next label {atom['next']!r} not in labels")
             c, b, g = _parse_prob(atom["prob"], where)
-            jumps.append(float(atom["jump"]))
+            jumps.append(parse_number(atom["jump"], f"{where} jump"))
             next_idx.append(labels.index(atom["next"]))
             consts.append(c)
             invs.append(b)
@@ -675,14 +709,15 @@ def make_tabular(spec: dict) -> ChainModel:
         if boundary_spec["label"] not in labels:
             raise ModelSpecError("reset label must be one of the model labels")
         boundary = "reset"
-        reset = (float(boundary_spec["jump"]), labels.index(boundary_spec["label"]))
+        reset = (parse_number(boundary_spec["jump"], "boundary jump"),
+                 labels.index(boundary_spec["label"]))
     elif boundary_spec in ("clip", "reflect"):
         boundary = boundary_spec
     else:
         raise ModelSpecError(f"unknown boundary rule {boundary_spec!r}")
 
     if "floor" in spec:
-        floor = float(spec["floor"])
+        floor = parse_number(spec["floor"], "floor")
         if floor < 0.0:
             raise ModelSpecError("floor must be non-negative")
         for line in lines:
@@ -705,25 +740,25 @@ def make_tabular(spec: dict) -> ChainModel:
         floor = float(_scan_floor(rows, delta))
 
     overrides = {}
-    for k, entry in enumerate(spec.get("states", [])):
+    for k, entry in enumerate(_check_list(spec.get("states", []), "states")):
         where = f"states[{k}]"
         _check_keys(entry, {"x", "label", "atoms"}, set(), where)
         if entry["label"] not in labels:
             raise ModelSpecError(f"{where}: unknown label {entry['label']!r}")
-        pos = float(entry["x"])
+        pos = parse_number(entry["x"], f"{where} x")
         if pos < 0.0:
             raise ModelSpecError(f"{where}: negative position")
         raw = []
-        for j, atom in enumerate(entry["atoms"]):
+        for j, atom in enumerate(_check_list(entry["atoms"], f"{where} atoms")):
             aw = f"{where} atom {j}"
             _check_keys(atom, {"jump", "next", "prob"}, set(), aw)
             if atom["next"] not in labels:
                 raise ModelSpecError(f"{aw}: unknown next label")
-            if not isinstance(atom["prob"], (int, float)) or isinstance(atom["prob"], bool):
-                raise ModelSpecError(f"{aw}: override probabilities must be numbers")
-            if pos + float(atom["jump"]) < 0.0:
+            jump = parse_number(atom["jump"], f"{aw} jump")
+            prob = parse_number(atom["prob"], f"{aw} prob")
+            if pos + jump < 0.0:
                 raise ModelSpecError(f"{aw}: lands below 0")
-            raw.append((float(atom["jump"]), atom["next"], float(atom["prob"])))
+            raw.append((jump, atom["next"], prob))
         total = sum(p for _, _, p in raw)
         if abs(total - 1.0) >= RENORM_TOL:
             raise ModelSpecError(f"{where}: probabilities sum to {total!r}")
@@ -754,11 +789,11 @@ def model_from_spec(spec: dict):
             "crw spec",
         )
         return make_crw(
-            q=float(spec["q"]),
-            c_plus=float(spec.get("c_plus", 0.0)),
-            c_minus=float(spec.get("c_minus", 0.0)),
-            delta=float(spec.get("delta", 1.0)),
-            correction_amplitude=float(spec.get("amp", 0.0)),
+            q=parse_number(spec["q"], "crw spec q"),
+            c_plus=parse_number(spec.get("c_plus", 0.0), "crw spec c_plus"),
+            c_minus=parse_number(spec.get("c_minus", 0.0), "crw spec c_minus"),
+            delta=parse_number(spec.get("delta", 1.0), "crw spec delta"),
+            correction_amplitude=parse_number(spec.get("amp", 0.0), "crw spec amp"),
             description=spec.get("description"),
         )
     if kind == "tabular":

@@ -136,7 +136,7 @@ class PassageSample:
 
     ``tau`` is None when the trajectory was censored at ``cap`` steps;
     ``steps`` is the number of steps actually simulated (tau, or cap when
-    censored). ``path`` is populated only in debug mode.
+    censored).
     """
 
     tau: int | None
@@ -145,7 +145,6 @@ class PassageSample:
     start: State
     level: float
     steps: int
-    path: tuple | None = None
 
 
 def _finish_scalar(model, x, li, level, cap, steps, gen, row_tail, block):
@@ -169,12 +168,11 @@ def _finish_scalar(model, x, li, level, cap, steps, gen, row_tail, block):
 
 
 def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, count,
-                   block=DEFAULT_BLOCK, keep_paths=False):
+                   block=DEFAULT_BLOCK):
     taus = np.full(count, -1, dtype=np.int64)
-    paths = [([start_pos], [start_li]) for _ in range(count)] if keep_paths else None
     if start_pos <= level:
         taus[:] = 0
-        return taus, paths
+        return taus
     gens = [_stream(master_seed, _DOMAIN_PASSAGE, index0 + k) for k in range(count)]
     x = np.full(count, float(start_pos))
     lab = np.full(count, start_li, dtype=np.int64)
@@ -194,9 +192,9 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
                     gens[row], buf[row, cursor:].tolist(), block,
                 )
 
-    if not keep_paths and count <= SCALAR_TAIL:
+    if count <= SCALAR_TAIL:
         scalar_tail()
-        return taus, paths
+        return taus
     while steps < cap:
         if cursor == block:
             _refill(buf, gens)
@@ -205,11 +203,6 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
         cursor += 1
         x, lab = model.step_batch(x, lab, u)
         steps += 1
-        if keep_paths:
-            for row, oi in enumerate(orig):
-                if not done[row]:
-                    paths[oi][0].append(float(x[row]))
-                    paths[oi][1].append(int(lab[row]))
         # finished rows sit at +inf, so a plain comparison finds first hits
         newly = x <= level
         if newly.any():
@@ -219,7 +212,7 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
             n_done = int(done.sum())
             if n_done == len(orig):
                 break
-            if not keep_paths and len(orig) - n_done <= SCALAR_TAIL:
+            if len(orig) - n_done <= SCALAR_TAIL:
                 scalar_tail()
                 break
             # compact once at least half the resident rows are retired
@@ -228,14 +221,11 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
                 x, lab, orig, done = x[keep], lab[keep], orig[keep], done[keep]
                 buf = np.ascontiguousarray(buf[keep])
                 gens = [g for g, k in zip(gens, keep) if k]
-    return taus, paths
+    return taus
 
 
 def _passage_worker(args):
-    model, start_pos, start_li, level, cap, master_seed, index0, count, block = args
-    taus, _ = _passage_chunk(model, start_pos, start_li, level, cap, master_seed,
-                             index0, count, block)
-    return taus
+    return _passage_chunk(*args)
 
 
 def sample_passage_times(
@@ -248,13 +238,11 @@ def sample_passage_times(
     workers: int = 1,
     block: int = DEFAULT_BLOCK,
     batch_size: int = DEFAULT_BATCH,
-    keep_paths: bool = False,
 ) -> list:
     """n independent passage-time samples from per-trajectory streams.
 
     Output is identical for any ``workers``/``block``/``batch_size`` choice;
-    those only trade memory against speed. ``keep_paths`` stores full paths on
-    the samples (debug; serial only, keep n small).
+    those only trade memory against speed.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -268,32 +256,20 @@ def sample_passage_times(
 
     chunks = [(i, min(batch_size, n - i)) for i in range(0, n, batch_size)]
     taus = np.empty(n, dtype=np.int64)
-    all_paths: list = [None] * n
-    if keep_paths:
-        for index0, count in chunks:
-            t, paths = _passage_chunk(model, pos, li, level, cap, master_seed,
-                                      index0, count, block, keep_paths=True)
-            taus[index0 : index0 + count] = t
-            all_paths[index0 : index0 + count] = paths
-    elif workers > 1 and len(chunks) > 1:
+    if workers > 1 and len(chunks) > 1:
         args = [(model, pos, li, level, cap, master_seed, i0, c, block) for i0, c in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for (index0, count), t in zip(chunks, pool.map(_passage_worker, args)):
                 taus[index0 : index0 + count] = t
     else:
         for index0, count in chunks:
-            t, _ = _passage_chunk(model, pos, li, level, cap, master_seed,
-                                  index0, count, block)
-            taus[index0 : index0 + count] = t
+            taus[index0 : index0 + count] = _passage_chunk(
+                model, pos, li, level, cap, master_seed, index0, count, block)
 
     samples = []
     for k in range(n):
         tau = int(taus[k])
         censored = tau < 0
-        path = None
-        if keep_paths and all_paths[k] is not None:
-            xs, ls = all_paths[k]
-            path = (tuple(xs), tuple(model.labels[i] for i in ls))
         samples.append(
             PassageSample(
                 tau=None if censored else tau,
@@ -302,7 +278,6 @@ def sample_passage_times(
                 start=State(pos, start.label),
                 level=level,
                 steps=int(cap) if censored else tau,
-                path=path,
             )
         )
     return samples
@@ -481,6 +456,9 @@ _DIAGNOSTIC_RULE = (
 
 @dataclass(frozen=True)
 class DiagnosticReport:
+    """The diagnostic's statistics and call; ``samples`` holds the passage
+    samples they were computed from, for further estimates on the same draws."""
+
     start: State
     level: float
     cap: int
@@ -496,6 +474,7 @@ class DiagnosticReport:
     median_xsq_ratio: float
     empirical_call: str
     rule: str = _DIAGNOSTIC_RULE
+    samples: tuple = field(default=(), compare=False, repr=False)
 
 
 def _horizon_chunk(model, start_pos, start_li, snapshots, master_seed, index0, count,
@@ -575,4 +554,5 @@ def recurrence_diagnostic(
         median_x_ratio=float(median_x_ratio),
         median_xsq_ratio=float(median_xsq_ratio),
         empirical_call=call,
+        samples=tuple(samples),
     )

@@ -75,6 +75,12 @@ class TestClassifyLamperti:
         cls = classify_lamperti(lamperti((-1.0, -1.0), (1.0, 1.0)))
         assert cls.verdict is Verdict.POSITIVE_RECURRENT
 
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_non_finite_never_becomes_a_verdict(self, refined):
+        # NaN fails every comparison and would fall through to the boundary verdict
+        with pytest.raises(ValueError, match="finite"):
+            classify_lamperti(lamperti((np.nan, np.nan), (1.0, 1.0)), refined=refined)
+
     def test_degenerate_variance_rejected(self):
         with pytest.raises(DegenerateVarianceError):
             LampertiCoefficients((0,), {0: 0.0}, {0: 0.0}, SINGLE, PI_SINGLE)
@@ -207,6 +213,11 @@ class TestMomentThreshold:
     def test_degenerate_v(self):
         with pytest.raises(DegenerateVarianceError):
             moment_threshold(0.0, 0.0)
+
+    @pytest.mark.parametrize("U,V", [(np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0), (0.0, np.inf)])
+    def test_non_finite_is_refused(self, U, V):
+        with pytest.raises(ValueError, match="finite"):
+            moment_threshold(U, V)
 
     def test_lamperti_reduction(self, rng):
         # theta* computed from (U, V) matches the single-regime expression

@@ -2,6 +2,10 @@ import json
 
 import pytest
 
+import halfstrip.classify
+import halfstrip.cli
+import halfstrip.markov
+import halfstrip.sim
 from halfstrip.cli import main
 
 CRW_NULL = {"type": "crw", "q": 0.6, "c_plus": 0.2, "c_minus": 0.2}
@@ -81,6 +85,100 @@ class TestAnalyze:
         main(["analyze", "--model", spec, "--out", out1])
         main(["analyze", "--model", spec, "--out", out2])
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+class TestMalformedSpecs:
+    INF_JUMP = (
+        '{"type": "tabular", "labels": [0], "lines": {"0": ['
+        '{"jump": 1e400, "next": 0, "prob": 0.5}, {"jump": -1, "next": 0, "prob": 0.5}]}}'
+    )
+    COEFFS = {
+        "type": "coefficients", "d": [0.2, -0.2], "e": [0.2, 0.2], "t2": [1.0, 1.0],
+        "d_cross": [[0.6, -0.4], [0.4, -0.6]], "gamma": [[0.1, -0.1], [0.1, -0.1]],
+        "Q": [[0.6, 0.4], [0.4, 0.6]],
+    }
+
+    @pytest.mark.parametrize(
+        "text,flags",
+        [
+            (INF_JUMP, []),
+            (INF_JUMP, ["--refined"]),
+            ('{"type": "crw", "q": null}', []),
+            ('{"type": "crw", "q": [0.5]}', []),
+            ("[" + json.dumps(CRW_NULL) + "]", []),
+            (json.dumps({**DRIFTING, "labels": [[0]], "lines": {"[0]": []}}), []),
+            (json.dumps({**COEFFS, "labels": [[1], [-1]]}), []),
+        ],
+        ids=["inf-jump", "inf-jump-refined", "q-null", "q-list", "top-level-array",
+             "tabular-list-labels", "coefficients-list-labels"],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["analyze", "--model", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestOnePipeline:
+    """``analyze`` and ``verify`` share one routing pass and one set of samples."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name, modules):
+        calls = []
+        original = getattr(modules[0], name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_verify_samples_passage_times_once(self, tmp_path, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, "sample_passage_times",
+                                 (halfstrip.sim, halfstrip.cli))
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        assert main([
+            "verify", "--model", spec, "--start", "50,1", "--level", "10",
+            "--cap", "20000", "--n", "300", "--seed", "5", "--lyapunov",
+        ]) == 0
+        assert "tail-exponent" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_analyze_solves_the_centered_system_once(self, tmp_path, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, "solve_poisson",
+                                 (halfstrip.markov, halfstrip.classify))
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        assert main(["analyze", "--model", spec]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["regime"] == "GeneralizedLamperti"
+        assert report["transform"] is not None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "spec,start",
+        [
+            (CRW_NULL, "50,1"),
+            ({**CRW_NULL, "c_plus": 1.5, "c_minus": 1.5}, "50,1"),
+            ({**CRW_NULL, "c_plus": -1.0, "c_minus": -1.0}, "50,1"),
+            (DRIFTING, "50,0"),
+        ],
+        ids=["null", "transient", "positive", "constant-drift"],
+    )
+    def test_verify_reports_the_analyze_verdict(self, tmp_path, capsys, spec, start):
+        model = write(tmp_path, "model.json", spec)
+        report_path = str(tmp_path / "verify.json")
+        assert main(["analyze", "--model", model]) == 0
+        analyzed = json.loads(capsys.readouterr().out)["classification"]
+        assert main([
+            "verify", "--model", model, "--start", start, "--level", "10",
+            "--cap", "4000", "--n", "100", "--seed", "3", "--report", report_path,
+        ]) == 0
+        capsys.readouterr()
+        assert json.loads(open(report_path).read())["verdict"] == analyzed
 
 
 class TestFit:

@@ -133,17 +133,21 @@ class TestPassageSampling:
         vec = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=50_000, n=40, master_seed=4)
         assert [(s.tau, s.censored) for s in ref] == [(s.tau, s.censored) for s in vec]
 
-    def test_tau_definition_on_stored_paths(self):
-        samples = sample_passage_times(
-            CRW, State(30.0, 1), 5.0, cap=50_000, n=25, master_seed=2, keep_paths=True
-        )
-        for s in samples:
-            xs, labs = s.path
-            assert xs[0] == 30.0 and labs[0] == 1
-            if not s.censored:
-                assert len(xs) == s.tau + 1
-                assert xs[-1] <= 5.0
-                assert all(x > 5.0 for x in xs[:-1])
+    def test_tau_definition_on_replayed_streams(self):
+        # tau = min{n : X_n <= level}: replay each trajectory one uniform per
+        # step from its own stream and find its first hit independently
+        cap = 50_000
+        samples = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=cap, n=25, master_seed=2)
+        for k, s in enumerate(samples):
+            u = sim._stream(2, sim._DOMAIN_PASSAGE, k).random(cap)
+            x, li, first_hit = 30.0, CRW.label_index(1), None
+            for t in range(cap):
+                x, li = CRW.step_scalar(x, li, float(u[t]))
+                if x <= 5.0:
+                    first_hit = t + 1
+                    break
+            assert s.tau == first_hit
+            assert s.censored == (first_hit is None)
 
     def test_censoring_flags(self):
         samples = sample_passage_times(CRW, State(200.0, 1), 1.0, cap=50, n=20, master_seed=3)
