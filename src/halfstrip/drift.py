@@ -16,6 +16,7 @@ anything else the scaled residuals say how credible the expansion is.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -75,9 +76,12 @@ def moment_functionals(model, x: float, label) -> LineMoments:
     q_row = {k: 0.0 for k in model.labels}
     for atom in dist.atoms:
         mu += atom.prob * atom.jump
-        sigma2 += atom.prob * atom.jump**2
+        sigma2 += atom.prob * (atom.jump * atom.jump)
         mu_cross[atom.next_label] += atom.prob * atom.jump
         q_row[atom.next_label] += atom.prob
+    for name, value in (("mean", mu), ("second moment", sigma2)):
+        if not math.isfinite(value):
+            raise ValueError(f"the step's {name} at ({float(x)!r}, {label!r}) is not finite")
     return LineMoments(float(x), label, mu, sigma2, mu_cross, q_row)
 
 
@@ -259,6 +263,10 @@ def fit_asymptotics(
             qij, gij, r = _affine_fit(grid, np.array([m.q_at[(i, j)] for m in moments]))
             q_lim[(i, j)], gamma[(i, j)] = qij, gij
             residuals["q"] = max(residuals["q"], r)
+    for name, values in (("d", d), ("e", e), ("t2", t2), ("d_ij", d_cross), ("gamma", gamma)):
+        for key, value in values.items():
+            if not math.isfinite(value):
+                raise ValueError(f"fitted coefficient {name}[{key!r}] is not finite")
 
     warnings = [
         f"{name} fit residual {value:.3e} exceeds {residual_threshold:.1e}; "

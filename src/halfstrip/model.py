@@ -6,11 +6,12 @@ whose probabilities follow the closed form
 
     p(x) = const + inv_x / x + pow * x^(-1-delta)        for x >= floor,
 
-with a constant fallback law below the floor, an explicit boundary rule so
-that no step ever lands below 0, and optional per-state override atoms for
-exceptional positions. Both the exact-moment machinery and the vectorized
-sampler read the same tables, so there is exactly one definition of every
-kernel.
+with the constant parts alone as the law below the floor, an explicit
+boundary rule so that no step ever lands below 0, and optional per-state
+override atoms for exceptional positions. The exact one-step laws, the
+scalar step lane and the batch step lane all read the same tables and the
+same override atoms, so there is exactly one definition of every kernel;
+the lanes agree bit for bit, ``pow`` terms included.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def _freeze(arr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LineLaw:
-    """One label's kernel: atoms plus closed-form probability coefficients."""
+    """One label's kernel: atoms plus closed-form probability coefficients.
+    Below the floor the constant parts alone are the law."""
 
     jumps: np.ndarray      # (A,) raw jumps, in declared atom order
     next_idx: np.ndarray   # (A,) label indices
@@ -85,115 +87,121 @@ class LineLaw:
     p_inv: np.ndarray      # (A,) coefficient of 1/x
     p_pow: np.ndarray      # (A,) coefficient of x^(-1-delta)
     delta: float
-    fallback: np.ndarray   # (A,) constant probabilities used below the floor
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", _freeze(self.jumps))
         idx = np.array(self.next_idx, dtype=np.int64)
         idx.flags.writeable = False
         object.__setattr__(self, "next_idx", idx)
-        for name in ("p_const", "p_inv", "p_pow", "fallback"):
+        for name in ("p_const", "p_inv", "p_pow"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def n_atoms(self) -> int:
         return len(self.jumps)
 
-    def probs(self, x: np.ndarray, floor: float) -> np.ndarray:
-        """Probability matrix (len(x), A); fallback applies where x < floor."""
-        x = np.asarray(x, dtype=float)
-        formula = np.broadcast_to(self.p_const, (x.size, self.n_atoms)).copy()
-        if self.p_inv.any() or self.p_pow.any():
-            safe = np.maximum(x, max(floor, 1e-300))[:, None]
-            if self.p_inv.any():
-                formula += self.p_inv / safe
-            if self.p_pow.any():
-                formula += self.p_pow * safe ** (-1.0 - self.delta)
-        below = x < floor
-        if below.any():
-            formula[below] = self.fallback
-        return formula
-
 
 class _StepTables:
-    """Per-label kernel coefficients stacked for gather-based batch stepping.
+    """Every line's kernel coefficients: the one definition of a step's law.
 
-    Atom slots are padded to a common width A; padded slots carry probability
-    0 and the per-line atom count clips the inverse-CDF choice, so they are
-    never selected. The arithmetic here is the same expression, in the same
-    order, as :meth:`LineLaw.probs`.
+    :meth:`probs` gives one state's atom probabilities, for ``distribution``
+    and the scalar lane; :meth:`choose` evaluates the same expression, in the
+    same order, per row of a batch. Both take ``x^(-1-delta)`` from libm
+    (Python float ``**``), never from numpy's vectorised ``power``, whose
+    last bit can differ. Atom slots are padded to a common width A; padded
+    slots carry probability 0 and the per-line atom count clips the
+    inverse-CDF choice, so they are never selected.
     """
 
     def __init__(self, lines, floor):
         S = len(lines)
         A = max(line.n_atoms for line in lines)
-        self.n_atoms = A
         self.floor = float(floor)
         self.safe_floor = max(float(floor), 1e-300)
         self.const = np.zeros((S, A))
         self.inv = np.zeros((S, A))
         self.pow = np.zeros((S, A))
-        self.fall = np.zeros((S, A))
         self.jump = np.zeros((S, A))
         self.next = np.zeros((S, A), dtype=np.int64)
-        self.counts = np.zeros(S, dtype=np.int64)
-        self.trigger = np.zeros(S)
+        counts = np.array([line.n_atoms for line in lines])
         for li, line in enumerate(lines):
             a = line.n_atoms
-            self.counts[li] = a
             self.const[li, :a] = line.p_const
             self.inv[li, :a] = line.p_inv
             self.pow[li, :a] = line.p_pow
-            self.fall[li, :a] = line.fallback
             self.jump[li, :a] = line.jumps
             self.next[li, :a] = line.next_idx
             self.next[li, a:] = line.next_idx[a - 1]
-            self.trigger[li] = -float(line.jumps.min())
+        self.trigger = np.array([-float(line.jumps.min()) for line in lines])
         self.has_inv = bool(self.inv.any())
         self.has_pow = bool(self.pow.any())
         if self.has_pow and len({float(line.delta) for line in lines}) != 1:
             raise ValueError("all lines must share one power-correction exponent")
         self.neg_exp = -1.0 - float(lines[0].delta)
-        self.uniform_two = A == 2 and bool((self.counts == 2).all())
-        self.max_choice = self.counts - 1
+        self.uniform_two = A == 2 and bool((counts == 2).all())
+        self.max_choice = counts - 1
         self.varying = self.has_inv or self.has_pow
-        # plain-python twins for the scalar step lane
-        self.const_list = self.const.tolist()
-        self.inv_list = self.inv.tolist()
-        self.pow_list = self.pow.tolist()
-        self.fall_list = self.fall.tolist()
-        self.jump_list = self.jump.tolist()
-        self.next_list = self.next.tolist()
-        self.counts_list = self.counts.tolist()
+        # plain-python rows, one per line and unpadded, for single states
+        self.const_list = [line.p_const.tolist() for line in lines]
+        self.inv_list = [line.p_inv.tolist() for line in lines]
+        self.pow_list = [line.p_pow.tolist() for line in lines]
+        self.jump_list = [line.jumps.tolist() for line in lines]
+        self.next_list = [line.next_idx.tolist() for line in lines]
         self.trigger_list = self.trigger.tolist()
+
+    def probs(self, x: float, li: int, u: float = math.inf) -> list:
+        """Line ``li``'s atom probabilities at ``x``, in declared atom order, up
+        to the first whose cumulative sum exceeds ``u``: the last one returned
+        is the atom that ``u`` picks by inverse CDF (the line's last atom when
+        rounding keeps the total at or below ``u``)."""
+        consts = self.const_list[li]
+        varying = self.varying and x >= self.floor
+        if varying:
+            xs = x if x > self.safe_floor else self.safe_floor
+            has_inv, invs = self.has_inv, self.inv_list[li]
+            has_pow, pows = self.has_pow, self.pow_list[li]
+            xp = xs**self.neg_exp if has_pow else 0.0
+        out = []
+        cum = 0.0
+        for k in range(len(consts)):
+            p = consts[k]
+            if varying:
+                if has_inv:
+                    p = p + invs[k] / xs
+                if has_pow:
+                    p = p + pows[k] * xp
+            out.append(p)
+            cum += p
+            if u < cum:
+                break
+        return out
 
     def choose(self, x, lab, u):
         """Vectorized inverse-CDF atom choice; one uniform per row."""
-        varying = self.has_inv or self.has_pow
-        if varying:
+        if self.varying:
             xs = np.maximum(x, self.safe_floor)
+            if self.has_pow:
+                xp = np.array([v**self.neg_exp for v in xs.tolist()])
+            below = x < self.floor
         if self.uniform_two:
             # two atoms per line: only the first atom's probability is needed
             p0 = self.const[lab, 0]
-            if varying:
+            if self.varying:
                 if self.has_inv:
                     p0 = p0 + self.inv[lab, 0] / xs
                 if self.has_pow:
-                    p0 = p0 + self.pow[lab, 0] * xs**self.neg_exp
-                below = x < self.floor
+                    p0 = p0 + self.pow[lab, 0] * xp
                 if below.any():
-                    p0 = np.where(below, self.fall[lab, 0], p0)
+                    p0 = np.where(below, self.const[lab, 0], p0)
             return (u >= p0).view(np.int8)
         P = self.const[lab]
-        if varying:
-            xcol = xs[:, None]
+        if self.varying:
             if self.has_inv:
-                P = P + self.inv[lab] / xcol
+                P = P + self.inv[lab] / xs[:, None]
             if self.has_pow:
-                P = P + self.pow[lab] * xcol**self.neg_exp
-            below = x < self.floor
+                P = P + self.pow[lab] * xp[:, None]
             if below.any():
-                P[below] = self.fall[lab[below]]
+                P[below] = self.const[lab[below]]
         elif P.base is not None:
             P = P.copy()
         np.cumsum(P, axis=1, out=P)
@@ -212,8 +220,9 @@ class ChainModel:
     - ``"reset"``: at any position where some atom would land below 0, the
       whole step is replaced by the deterministic ``reset`` atom.
 
-    ``overrides`` maps exact states (position, label index) to explicit atom
-    tuples, bypassing both the closed form and the boundary rule.
+    ``overrides`` maps exact states (position, label index) to explicit
+    atoms (jump, next label index, probability), bypassing both the closed
+    form and the reset rule.
     """
 
     labels: tuple
@@ -244,34 +253,42 @@ class ChainModel:
         except ValueError:
             raise KeyError(f"unknown label {label!r}") from None
 
-    def _min_jump(self, line_index: int) -> float:
-        return float(self.lines[line_index].jumps.min())
-
     def distribution(self, x: float, label) -> IncrementDistribution:
         """Boundary-adjusted one-step law at (x, label). Raises on invalid states."""
         li = self.label_index(label)
         x = float(x)
         if not math.isfinite(x) or x < 0.0:
             raise ValueError(f"invalid position {x!r}")
-        key = (x, li)
-        if key in self.overrides:
-            return IncrementDistribution(self.overrides[key])
-        line = self.lines[li]
-        if self.boundary == "reset" and x + self._min_jump(li) < 0.0:
-            jump, target = self.reset
-            return IncrementDistribution((Atom(float(jump), self.labels[target], 1.0),))
-        probs = line.probs(np.array([x]), self.formula_floor)[0]
-        atoms = []
-        for a in range(line.n_atoms):
-            landing = x + line.jumps[a]
-            if self.boundary == "clip":
-                landing = max(landing, 0.0)
-            elif self.boundary == "reflect":
-                landing = abs(landing)
-            if landing < 0.0:
-                raise ValueError(f"atom lands at {landing!r} < 0 from x={x!r}")
-            atoms.append(Atom(landing - x, self.labels[int(line.next_idx[a])], float(probs[a])))
-        return IncrementDistribution(tuple(atoms))
+        atoms = self.overrides.get((x, li))
+        if atoms is None:
+            t = self._tables
+            if self.boundary == "reset" and x < t.trigger_list[li]:
+                atoms = ((*self.reset, 1.0),)
+            else:
+                atoms = zip(t.jump_list[li], t.next_list[li], t.probs(x, li))
+        # each atom's jump is the increment of the step that lands there
+        return IncrementDistribution(tuple(
+            Atom(self._land(x, j) - x, self.labels[n], p) for j, n, p in atoms
+        ))
+
+    def _land(self, x: float, jump: float) -> float:
+        """The boundary rule for one landing, as :meth:`step_batch` applies it per row."""
+        landing = x + jump
+        if self.boundary == "clip":
+            return landing if landing > 0.0 else 0.0
+        if self.boundary == "reflect":
+            return abs(landing)
+        return landing
+
+    def _override_step(self, x: float, li: int, u: float):
+        """The step from an override state, for both lanes: the first atom
+        whose cumulative probability exceeds ``u``, else the last."""
+        cum = 0.0
+        for jump, nxt, p in self.overrides[(x, li)]:
+            cum += p
+            if u < cum:
+                break
+        return self._land(x, jump), nxt
 
     def step_batch(self, x: np.ndarray, lab: np.ndarray, u: np.ndarray):
         """One synchronous step for a batch of states, consuming one uniform each.
@@ -294,74 +311,22 @@ class ChainModel:
             np.maximum(landing, 0.0, out=landing)
         elif self.boundary == "reflect":
             np.abs(landing, out=landing)
-        if self.overrides:
-            self._apply_overrides(x, lab, u, landing, nxt)
+        for pos, li in self.overrides:
+            for row in np.flatnonzero((x == pos) & (lab == li)):
+                landing[row], nxt[row] = self._override_step(pos, li, float(u[row]))
         return landing, nxt
 
     def step_scalar(self, x: float, li: int, u: float):
         """Scalar twin of :meth:`step_batch` for one row: same tables, same
         arithmetic in the same order, so a trajectory stepped here is
         bit-identical to one stepped in a batch."""
-        if self.overrides:
-            atoms = self.overrides.get((x, li))
-            if atoms is not None:
-                cum = 0.0
-                pick = len(atoms) - 1
-                for k, (_, _, p) in enumerate(atoms):
-                    cum += p
-                    if u < cum:
-                        pick = k
-                        break
-                jump, nxt_label, _ = atoms[pick]
-                return x + jump, self.label_index(nxt_label)
+        if self.overrides and (x, li) in self.overrides:
+            return self._override_step(x, li, u)
         t = self._tables
         if self.boundary == "reset" and x < t.trigger_list[li]:
             return x + self.reset[0], self.reset[1]
-        count = t.counts_list[li]
-        choice = count - 1
-        if t.varying and x < t.floor:
-            cum = 0.0
-            fall = t.fall_list[li]
-            for k in range(count):
-                cum += fall[k]
-                if u < cum:
-                    choice = k
-                    break
-        else:
-            consts = t.const_list[li]
-            invs = t.inv_list[li]
-            pows = t.pow_list[li]
-            xs = (x if x > t.safe_floor else t.safe_floor) if t.varying else x
-            cum = 0.0
-            for k in range(count):
-                p = consts[k]
-                if t.has_inv:
-                    p = p + invs[k] / xs
-                if t.has_pow:
-                    p = p + pows[k] * xs**t.neg_exp
-                cum += p
-                if u < cum:
-                    choice = k
-                    break
-        landing = x + t.jump_list[li][choice]
-        if self.boundary == "clip":
-            landing = landing if landing > 0.0 else 0.0
-        elif self.boundary == "reflect":
-            landing = landing if landing >= 0.0 else -landing
-        return landing, t.next_list[li][choice]
-
-    def _apply_overrides(self, x, lab, u, new_x, new_lab):
-        for (pos, li), atoms in self.overrides.items():
-            mask = (lab == li) & (x == pos)
-            if not mask.any():
-                continue
-            cum = np.cumsum([a[2] for a in atoms])
-            for row in np.flatnonzero(mask):
-                choice = int(np.searchsorted(cum, u[row], side="right"))
-                choice = min(choice, len(atoms) - 1)
-                jump, nxt_label, _ = atoms[choice]
-                new_x[row] = x[row] + jump
-                new_lab[row] = self.label_index(nxt_label)
+        k = len(t.probs(x, li, u)) - 1
+        return self._land(x, t.jump_list[li][k]), t.next_list[li][k]
 
 
 @dataclass(frozen=True)
@@ -371,6 +336,8 @@ class ShiftedChainModel:
     The shifted chain at (y, i) behaves as the base chain at (y - offset_i, i)
     with every jump adjusted by offset_next - offset_current, so trajectories
     correspond one-to-one and all landing positions stay >= 0 when offsets do.
+    Only its one-step laws are needed (exact drift checks), so it has no
+    stepping lanes.
     """
 
     base: ChainModel
@@ -394,10 +361,6 @@ class ShiftedChainModel:
     def labels(self) -> tuple:
         return self.base.labels
 
-    @property
-    def formula_floor(self) -> float:
-        return self.base.formula_floor + float(self.offsets.max())
-
     def label_index(self, label) -> int:
         return self.base.label_index(label)
 
@@ -416,23 +379,6 @@ class ShiftedChainModel:
             for a in base_dist.atoms
         )
         return IncrementDistribution(atoms)
-
-    def step_batch(self, x, lab, u):
-        x0 = x - self.offsets[lab]
-        low = x0.min() if len(x0) else 0.0
-        if low < -1e-9:
-            raise ValueError("batch contains positions below their line offsets")
-        x0 = np.maximum(x0, 0.0)
-        nx0, nlab = self.base.step_batch(x0, lab, u)
-        return nx0 + self.offsets[nlab], nlab
-
-    def step_scalar(self, x: float, li: int, u: float):
-        x0 = x - self.offsets[li]
-        if x0 < -1e-9:
-            raise ValueError(f"position {x!r} is below this line's offset")
-        x0 = x0 if x0 > 0.0 else 0.0
-        nx0, nli = self.base.step_scalar(x0, li, u)
-        return nx0 + self.offsets[nli], nli
 
 
 def shift_model(model: ChainModel, offsets: Mapping[Label, float]) -> ShiftedChainModel:
@@ -533,7 +479,6 @@ def make_crw(
                 p_inv=inv,
                 p_pow=pw,
                 delta=float(delta),
-                fallback=const,
             )
         )
     floor = _scan_floor(coeff_rows, float(delta))
@@ -692,7 +637,6 @@ def make_tabular(spec: dict) -> ChainModel:
                 p_inv=invs,
                 p_pow=pows,
                 delta=delta,
-                fallback=consts,
             )
         )
 
@@ -763,7 +707,7 @@ def make_tabular(spec: dict) -> ChainModel:
         if abs(total - 1.0) >= RENORM_TOL:
             raise ModelSpecError(f"{where}: probabilities sum to {total!r}")
         overrides[(pos, labels.index(entry["label"]))] = tuple(
-            (j, n, p / total) for j, n, p in raw
+            (j, labels.index(n), p / total) for j, n, p in raw
         )
 
     return ChainModel(
@@ -857,10 +801,11 @@ def validate_model(model, grid: Sequence[float] | None = None, p: float = 4.0) -
             min_landing = min(min_landing, float(landings.min()))
             if landings.min() < 0.0:
                 failures.append(f"state ({x}, {label!r}): landing below 0")
-            cp_witness = max(
-                cp_witness,
-                float(sum(a.prob * abs(a.jump) ** p for a in dist.atoms)),
-            )
+            with np.errstate(over="ignore"):
+                witness = float(sum(a.prob * np.abs(a.jump) ** p for a in dist.atoms))
+            if not math.isfinite(witness):
+                failures.append(f"state ({x}, {label!r}): E[|jump|^{p:g}] is not finite")
+            cp_witness = max(cp_witness, witness)
             for a in dist.atoms:
                 q_at[x][li, model.label_index(a.next_label)] += a.prob
 

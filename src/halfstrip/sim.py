@@ -7,9 +7,9 @@ Every trajectory owns a private RNG stream derived from the master seed and
 its index by a counter scheme: stream(k) = PCG64(SeedSequence(master_seed,
 spawn_key=(domain, k))). A trajectory consumes exactly one uniform per step
 (deterministic steps included), in stream order, so its output is a pure
-function of (model, start, level, cap, master_seed, index). Batched stepping,
-buffer block sizes, and worker counts only change scheduling and how many
-pre-drawn uniforms are discarded -- never any output byte.
+function of (model, start, level, cap, master_seed, index). Batched stepping
+and worker counts only change scheduling and how many pre-drawn uniforms are
+discarded -- never any output byte.
 
 Censoring
 ---------
@@ -76,7 +76,7 @@ class Trajectory:
         return [self.state(n) for n in range(len(self))]
 
 
-def simulate(model, start: State, horizon: int, seed: int, block: int = DEFAULT_BLOCK) -> Trajectory:
+def simulate(model, start: State, horizon: int, seed: int) -> Trajectory:
     """Sample one trajectory of ``horizon`` steps, bit-reproducible from the seed."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -92,6 +92,7 @@ def simulate(model, start: State, horizon: int, seed: int, block: int = DEFAULT_
         gen = _stream(seed, _DOMAIN_TRAJECTORY, 0)
         step = model.step_scalar
         x, cur_li = pos, li
+        block = DEFAULT_BLOCK
         buf = gen.random(block).tolist()
         cursor = 0
         for t in range(1, horizon + 1):
@@ -167,8 +168,7 @@ def _finish_scalar(model, x, li, level, cap, steps, gen, row_tail, block):
     return -1
 
 
-def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, count,
-                   block=DEFAULT_BLOCK):
+def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, count, block):
     taus = np.full(count, -1, dtype=np.int64)
     if start_pos <= level:
         taus[:] = 0
@@ -236,13 +236,12 @@ def sample_passage_times(
     n: int,
     master_seed: int,
     workers: int = 1,
-    block: int = DEFAULT_BLOCK,
-    batch_size: int = DEFAULT_BATCH,
 ) -> list:
     """n independent passage-time samples from per-trajectory streams.
 
-    Output is identical for any ``workers``/``block``/``batch_size`` choice;
-    those only trade memory against speed.
+    The trajectories are stepped in chunks of at most DEFAULT_BATCH, split
+    evenly over ``workers`` processes. Output is identical for any
+    ``workers``; it only trades memory and processes against speed.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -254,21 +253,17 @@ def sample_passage_times(
         raise ValueError("start position must be >= 0")
     level = float(level)
 
-    chunks = [(i, min(batch_size, n - i)) for i in range(0, n, batch_size)]
-    taus = np.empty(n, dtype=np.int64)
-    if workers > 1 and len(chunks) > 1:
-        args = [(model, pos, li, level, cap, master_seed, i0, c, block) for i0, c in chunks]
+    size = max(1, min(DEFAULT_BATCH, math.ceil(n / max(workers, 1))))
+    args = [(model, pos, li, level, cap, master_seed, i0, min(size, n - i0), DEFAULT_BLOCK)
+            for i0 in range(0, n, size)]
+    if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (index0, count), t in zip(chunks, pool.map(_passage_worker, args)):
-                taus[index0 : index0 + count] = t
+            chunk_taus = list(pool.map(_passage_worker, args))
     else:
-        for index0, count in chunks:
-            taus[index0 : index0 + count] = _passage_chunk(
-                model, pos, li, level, cap, master_seed, index0, count, block)
+        chunk_taus = [_passage_chunk(*a) for a in args]
 
     samples = []
-    for k in range(n):
-        tau = int(taus[k])
+    for tau in (t for chunk in chunk_taus for t in chunk.tolist()):
         censored = tau < 0
         samples.append(
             PassageSample(
@@ -477,8 +472,8 @@ class DiagnosticReport:
     samples: tuple = field(default=(), compare=False, repr=False)
 
 
-def _horizon_chunk(model, start_pos, start_li, snapshots, master_seed, index0, count,
-                   block=DEFAULT_BLOCK):
+def _horizon_chunk(model, start_pos, start_li, snapshots, master_seed, index0, count):
+    block = DEFAULT_BLOCK
     gens = [_stream(master_seed, _DOMAIN_HORIZON, index0 + k) for k in range(count)]
     x = np.full(count, float(start_pos))
     lab = np.full(count, start_li, dtype=np.int64)

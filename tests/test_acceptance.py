@@ -67,7 +67,7 @@ def crw_null_samples():
     model = make_crw(0.6, 0.2, 0.2)
     return sample_passage_times(
         model, State(50.0, 1), 10.0, cap=1_000_000, n=10_000,
-        master_seed=SEED, workers=2, batch_size=2048,
+        master_seed=SEED, workers=2,
     )
 
 
@@ -156,7 +156,7 @@ def test_criterion_5_classical_passage_tail():
     walk = make_tabular(REFLECTED_WALK)
     samples = sample_passage_times(
         walk, State(20.0, 0), 0.0, cap=1_000_000, n=10_000,
-        master_seed=SEED, workers=2, batch_size=2048,
+        master_seed=SEED, workers=2,
     )
     est = tail_exponent(samples)
     elapsed = time.perf_counter() - t0
@@ -188,7 +188,7 @@ def test_criterion_7_transient_endpoint():
     model = make_crw(0.6, 1.5, 1.5)
     samples = sample_passage_times(
         model, State(50.0, 1), 10.0, cap=1_000_000, n=4_000,
-        master_seed=SEED, workers=2, batch_size=2048,
+        master_seed=SEED, workers=2,
     )
     censored = sum(s.censored for s in samples) / len(samples)
     assert censored > 0.5, censored
@@ -211,7 +211,7 @@ def test_criterion_7_positive_recurrent_endpoint():
     model = make_crw(0.6, -1.0, -1.0)
     samples = sample_passage_times(
         model, State(50.0, 1), 10.0, cap=1_000_000, n=10_000,
-        master_seed=SEED, workers=2, batch_size=2048,
+        master_seed=SEED, workers=2,
     )
     censored = sum(s.censored for s in samples) / len(samples)
     assert censored < 0.001, censored

@@ -92,6 +92,7 @@ class TestMalformedSpecs:
         '{"type": "tabular", "labels": [0], "lines": {"0": ['
         '{"jump": 1e400, "next": 0, "prob": 0.5}, {"jump": -1, "next": 0, "prob": 0.5}]}}'
     )
+    HUGE_JUMP = INF_JUMP.replace("1e400", "1e160")
     COEFFS = {
         "type": "coefficients", "d": [0.2, -0.2], "e": [0.2, 0.2], "t2": [1.0, 1.0],
         "d_cross": [[0.6, -0.4], [0.4, -0.6]], "gamma": [[0.1, -0.1], [0.1, -0.1]],
@@ -103,13 +104,14 @@ class TestMalformedSpecs:
         [
             (INF_JUMP, []),
             (INF_JUMP, ["--refined"]),
+            (HUGE_JUMP, []),
             ('{"type": "crw", "q": null}', []),
             ('{"type": "crw", "q": [0.5]}', []),
             ("[" + json.dumps(CRW_NULL) + "]", []),
             (json.dumps({**DRIFTING, "labels": [[0]], "lines": {"[0]": []}}), []),
             (json.dumps({**COEFFS, "labels": [[1], [-1]]}), []),
         ],
-        ids=["inf-jump", "inf-jump-refined", "q-null", "q-list", "top-level-array",
+        ids=["inf-jump", "inf-jump-refined", "huge-jump", "q-null", "q-list", "top-level-array",
              "tabular-list-labels", "coefficients-list-labels"],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, text, flags):
@@ -119,6 +121,16 @@ class TestMalformedSpecs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("jump", ["1e80", "1e160"])
+    def test_verify_huge_jump_ends_in_a_report_or_one_line(self, tmp_path, capsys, jump):
+        path = tmp_path / "spec.json"
+        path.write_text(self.INF_JUMP.replace("1e400", jump))
+        code = main(["verify", "--model", str(path), "--n", "50", "--cap", "200"])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestOnePipeline:

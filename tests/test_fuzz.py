@@ -53,6 +53,9 @@ JUNK = st.one_of(
     st.lists(st.lists(st.integers(0, 1), max_size=2), max_size=2),
 )
 
+# finite, but their squares or fourth powers overflow a float
+HUGE = st.sampled_from((1e80, 1e160, 1.5e308))
+
 
 def _paths(node, path=()):
     yield path
@@ -64,7 +67,10 @@ def _paths(node, path=()):
 
 def _mutate(spec, data):
     path = data.draw(st.sampled_from(list(_paths(spec))))
-    op = data.draw(st.sampled_from(("replace", "drop", "add-key", "wrap")))
+    op = data.draw(st.sampled_from(("replace", "drop", "add-key", "wrap", "huge-jump")))
+    if op == "huge-jump":
+        jumps = [p for p in _paths(spec) if p and p[-1] == "jump"]
+        path = data.draw(st.sampled_from(jumps or [path]))
     if not path:
         return data.draw(JUNK) if op == "replace" else [spec]
     parent = spec
@@ -73,6 +79,8 @@ def _mutate(spec, data):
     key = path[-1]
     if op == "replace":
         parent[key] = data.draw(JUNK)
+    elif op == "huge-jump":
+        parent[key] = data.draw(HUGE)
     elif op == "drop":
         del parent[key]
     elif op == "wrap":

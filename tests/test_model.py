@@ -245,7 +245,6 @@ class TestValidate:
             p_inv=np.zeros(2),
             p_pow=np.zeros(2),
             delta=1.0,
-            fallback=np.array([0.7, 0.5]),
         )
         broken = ChainModel((0,), (line,), 0.0, "clip", description="broken")
         rep = validate_model(broken)

@@ -112,20 +112,49 @@ class TestPassageSampling:
         samples = sample_passage_times(CRW, State(5.0, 1), 10.0, cap=100, n=7, master_seed=1)
         assert all(s.tau == 0 and not s.censored for s in samples)
 
-    def test_reproducible_across_everything(self):
+    def test_reproducible_across_everything(self, monkeypatch):
         base = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9)
-        for kwargs in (
-            {"workers": 2},
-            {"block": 256},
-            {"batch_size": 64},
-            {"workers": 2, "block": 512, "batch_size": 37},
+        for workers, constants in (
+            (2, {}),
+            (1, {"DEFAULT_BLOCK": 256}),
+            (1, {"DEFAULT_BATCH": 64}),
+            (2, {"DEFAULT_BLOCK": 512, "DEFAULT_BATCH": 37}),
         ):
-            other = sample_passage_times(
-                CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9, **kwargs
-            )
+            with monkeypatch.context() as patch:
+                for name, value in constants.items():
+                    patch.setattr(sim, name, value)
+                other = sample_passage_times(
+                    CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9, workers=workers
+                )
             assert [(s.tau, s.censored, s.steps) for s in other] == [
                 (s.tau, s.censored, s.steps) for s in base
             ]
+
+    def test_two_workers_split_a_small_n(self, monkeypatch):
+        chunks = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                args = list(args)
+                chunks.extend((a[6], a[7]) for a in args)  # (first index, count)
+                return map(fn, args)
+
+        serial = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingExecutor)
+        split = sample_passage_times(
+            CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9, workers=2
+        )
+        assert chunks == [(0, 150), (150, 150)]
+        assert split == serial
 
     def test_scalar_tail_matches_vector(self, monkeypatch):
         ref = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=50_000, n=40, master_seed=4)
