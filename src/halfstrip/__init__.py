@@ -29,7 +29,6 @@ from .drift import (
     RegimeTag,
     check_regime,
     fit_asymptotics,
-    moment_functionals,
     point_moments,
 )
 from .lyapunov import (

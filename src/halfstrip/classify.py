@@ -15,6 +15,9 @@ Three regimes, three entry points:
 
   and U, V can equivalently be computed directly from the raw coefficients.
 
+Coefficients are arrays indexed by label position (see ``drift``), so each of
+these sums is one array expression.
+
 The passage-time moment boundary is theta* = (V - U) / (2V): E[tau^s] is
 finite for s < theta* (capped by p/2 when only p moments of the jumps are
 bounded) and infinite for s above it.
@@ -25,9 +28,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Sequence
 
-from .drift import AsymptoticCoefficients, RegimeTag
+import numpy as np
+
+from .drift import AsymptoticCoefficients, RegimeTag, frozen_array
 from .markov import (
     PoissonSolution,
     StationaryDistribution,
@@ -58,25 +63,27 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LampertiCoefficients:
-    """Per-line drift c_i/x and limiting second moments s2_i."""
+    """Per-line drift c_i/x and limiting second moments s2_i, as read-only
+    arrays of shape (S,) indexed by label position."""
 
     labels: tuple
-    c: dict
-    s2: dict
+    c: np.ndarray
+    s2: np.ndarray
     Q_limit: StochasticMatrix
     pi: StationaryDistribution
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if max(self.s2[k] for k in self.labels) <= 0.0:
+        for name in ("c", "s2"):
+            value = frozen_array(getattr(self, name), (len(self.labels),), name)
+            object.__setattr__(self, name, value)
+        if self.s2.max() <= 0.0:
             raise DegenerateVarianceError("at least one s2 must be positive")
-        if self.pi.mean([self.s2[k] for k in self.labels]) <= 0.0:
+        if self.pi.mean(self.s2) <= 0.0:
             raise DegenerateVarianceError("pi-weighted s2 must be positive")
 
     def uv(self) -> tuple:
-        U = self.pi.mean([2.0 * self.c[k] for k in self.labels])
-        V = self.pi.mean([self.s2[k] for k in self.labels])
-        return U, V
+        return self.pi.mean(2.0 * self.c), self.pi.mean(self.s2)
 
 
 @dataclass(frozen=True)
@@ -191,48 +198,34 @@ def transform_generalized(
     constant-drift regime. Fitted d carry numerical noise, so the tolerance
     is a declared numerical parameter, not part of the classification.
     """
-    labels = coeffs.labels
     a = solve_poisson(coeffs.Q_limit, coeffs.d, tol=centering_tol, pi=coeffs.pi)
-    avec = a.as_dict()
-    q = coeffs.Q_limit
-    c = {
-        i: coeffs.e[i] + sum(avec[j] * coeffs.gamma[(i, j)] for j in labels)
-        for i in labels
-    }
-    s2 = {
-        i: coeffs.t2[i]
-        + 2.0 * sum(avec[j] * coeffs.d_cross[(i, j)] for j in labels)
-        + sum((avec[j] ** 2 - avec[i] ** 2) * q.prob(i, j) for j in labels)
-        for i in labels
-    }
-    return LampertiCoefficients(labels, c, s2, coeffs.Q_limit, coeffs.pi), a
+    av = a.values
+    sq = av * av
+    # row sums as elementwise products: a matrix product would reassociate them
+    c = coeffs.e + (coeffs.gamma * av).sum(axis=1)
+    s2 = (
+        coeffs.t2
+        + 2.0 * (coeffs.d_cross * av).sum(axis=1)
+        + ((sq - sq[:, None]) * coeffs.Q_limit.entries).sum(axis=1)
+    )
+    return LampertiCoefficients(coeffs.labels, c, s2, coeffs.Q_limit, coeffs.pi), a
 
 
 def compute_uv(
-    coeffs: AsymptoticCoefficients, a: PoissonSolution | Mapping
+    coeffs: AsymptoticCoefficients, a: PoissonSolution | Sequence[float]
 ) -> tuple:
     """U and V straight from the raw coefficients and a solution a.
 
     U = sum_i (2 e_i + 2 sum_j a_j gamma_ij) pi_i and
     V = sum_i (t2_i + 2 sum_j a_j d_ij) pi_i. These equal the transformed
     chain's (sum 2 c pi, sum s2 pi): the quadratic (a_j^2 - a_i^2) terms
-    cancel under the stationary average.
+    cancel under the stationary average. ``a`` may also be an array by label
+    position.
     """
-    avec = a.as_dict() if isinstance(a, PoissonSolution) else dict(a)
-    labels = coeffs.labels
-    U = coeffs.pi.mean(
-        [
-            2.0 * coeffs.e[i] + 2.0 * sum(avec[j] * coeffs.gamma[(i, j)] for j in labels)
-            for i in labels
-        ]
-    )
-    V = coeffs.pi.mean(
-        [
-            coeffs.t2[i] + 2.0 * sum(avec[j] * coeffs.d_cross[(i, j)] for j in labels)
-            for i in labels
-        ]
-    )
-    return float(U), float(V)
+    av = a.values if isinstance(a, PoissonSolution) else np.asarray(a, dtype=float)
+    U = coeffs.pi.mean(2.0 * coeffs.e + 2.0 * (coeffs.gamma * av).sum(axis=1))
+    V = coeffs.pi.mean(coeffs.t2 + 2.0 * (coeffs.d_cross * av).sum(axis=1))
+    return U, V
 
 
 def classify_generalized(
@@ -281,7 +274,7 @@ def moment_threshold(U: float, V: float, p_cap: float = math.inf) -> MomentRepor
     _require_finite(U, V)
     if V <= 0.0:
         raise DegenerateVarianceError(f"V={V!r} must be positive")
-    if p_cap <= 0.0:
+    if not p_cap > 0.0:
         raise ValueError("p_cap must be positive")
     theta = (V - U) / (2.0 * V)
     cap_binds = p_cap < theta

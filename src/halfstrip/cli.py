@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .classify import (
     ANALYTIC_TOL,
@@ -251,17 +253,14 @@ def cmd_verify(args) -> int:
     if args.coefficients:
         asserted_spec, _ = _load_json(args.coefficients)
         asserted = AsymptoticCoefficients.from_dict(asserted_spec)
-        gaps = []
-        for k in coeffs.labels:
-            gaps.append(abs(asserted.d[k] - coeffs.d[k]))
-            gaps.append(abs(asserted.e[k] - coeffs.e[k]))
-            gaps.append(abs(asserted.t2[k] - coeffs.t2[k]))
-            for j in coeffs.labels:
-                gaps.append(abs(asserted.gamma[(k, j)] - coeffs.gamma[(k, j)]))
-                gaps.append(
-                    abs(asserted.Q_limit.prob(k, j) - coeffs.Q_limit.prob(k, j))
-                )
-        worst = max(gaps)
+        if set(asserted.labels) != set(coeffs.labels):
+            raise ValueError(f"asserted labels {list(asserted.labels)!r} are not the model's")
+        p = [asserted.labels.index(k) for k in coeffs.labels]  # the model's order
+        pp = np.ix_(p, p)
+        worst = max(float(np.max(np.abs(mine - fitted))) for mine, fitted in (
+            (asserted.d[p], coeffs.d), (asserted.e[p], coeffs.e), (asserted.t2[p], coeffs.t2),
+            (asserted.d_cross[pp], coeffs.d_cross), (asserted.gamma[pp], coeffs.gamma),
+            (asserted.Q_limit.entries[pp], coeffs.Q_limit.entries)))
         checks.append(
             _check(
                 "asserted-coefficients",
@@ -437,10 +436,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Refuse a NaN, infinite or negative tolerance, and a --p-cap that is not
+    positive, before any of them can reach a verdict or an output."""
+    for name in ("tol", "centering_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
+    if not getattr(args, "p_cap", math.inf) > 0.0:
+        raise ValueError(f"--p-cap must be > 0, got {args.p_cap!r}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except (ModelSpecError, NonCenteredError, DegenerateVarianceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exact one-step moment functionals and asymptotic coefficient fits.
+"""Exact one-step moments and asymptotic coefficient fits.
 
 For finitely supported kernels every moment is an exact atom sum, so the
 coefficients in the expansions
@@ -8,9 +8,12 @@ coefficients in the expansions
     mu_ij(x)     = d_ij + o(1)
     q_ij(x)      = q_ij + gamma_ij / x + o(1/x)
 
-are extracted by least squares against [1, 1/x] on a geometric grid. For
-kernels that are exactly affine in 1/x the fit is exact to rounding; for
-anything else the scaled residuals say how credible the expansion is.
+are extracted by one least-squares fit of every series against [1, 1/x] on a
+geometric grid. For kernels that are exactly affine in 1/x the fit is exact
+to rounding; for anything else the scaled residuals say how credible the
+expansion is. Coefficients are arrays indexed by label position: ``d[i]`` is
+the line of ``labels[i]`` and ``gamma[i, j]`` the move from ``labels[i]`` to
+``labels[j]``.
 """
 
 from __future__ import annotations
@@ -40,112 +43,105 @@ class RegimeTag(str, enum.Enum):
     GENERALIZED_LAMPERTI = "GeneralizedLamperti"
 
 
-@dataclass(frozen=True)
-class LineMoments:
-    """Exact moments of one line's kernel at one position."""
-
-    at_x: float
-    label: object
-    mu: float
-    sigma2: float
-    mu_cross: dict   # next label -> E[jump; next]
-    q_row: dict      # next label -> transition probability
-
-    def __post_init__(self):
-        if self.sigma2 < 0.0:
-            raise ValueError("second moment cannot be negative")
+def frozen_array(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a read-only float array, which must have ``shape``."""
+    array = np.array(value, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class PointMoments:
-    """All lines' exact moments at one position."""
+    """All lines' exact moments at one position, by label position: ``mu``
+    and ``sigma2`` have shape (S,), ``mu_cross[i, j] = E[jump; next = j]`` and
+    ``q[i, j] = P(next = j)`` have shape (S, S)."""
 
     at_x: float
-    mu: dict
-    sigma2: dict
-    mu_cross: dict   # (i, j) -> value
-    q_at: dict       # (i, j) -> value
-
-
-def moment_functionals(model, x: float, label) -> LineMoments:
-    """mu, sigma^2, and the label-resolved jump/transition sums at (x, label)."""
-    dist = model.distribution(x, label)
-    mu = 0.0
-    sigma2 = 0.0
-    mu_cross = {k: 0.0 for k in model.labels}
-    q_row = {k: 0.0 for k in model.labels}
-    for atom in dist.atoms:
-        mu += atom.prob * atom.jump
-        sigma2 += atom.prob * (atom.jump * atom.jump)
-        mu_cross[atom.next_label] += atom.prob * atom.jump
-        q_row[atom.next_label] += atom.prob
-    for name, value in (("mean", mu), ("second moment", sigma2)):
-        if not math.isfinite(value):
-            raise ValueError(f"the step's {name} at ({float(x)!r}, {label!r}) is not finite")
-    return LineMoments(float(x), label, mu, sigma2, mu_cross, q_row)
+    mu: np.ndarray
+    sigma2: np.ndarray
+    mu_cross: np.ndarray
+    q: np.ndarray
 
 
 def point_moments(model, x: float) -> PointMoments:
-    mu, sigma2, mu_cross, q_at = {}, {}, {}, {}
-    for label in model.labels:
-        lm = moment_functionals(model, x, label)
-        mu[label] = lm.mu
-        sigma2[label] = lm.sigma2
-        for j in model.labels:
-            mu_cross[(label, j)] = lm.mu_cross[j]
-            q_at[(label, j)] = lm.q_row[j]
-    return PointMoments(float(x), mu, sigma2, mu_cross, q_at)
+    """mu, sigma^2 and the label-resolved jump/transition sums of every line at x."""
+    labels = model.labels
+    n = len(labels)
+    mu, sigma2 = [0.0] * n, [0.0] * n
+    mu_cross = [[0.0] * n for _ in labels]
+    q = [[0.0] * n for _ in labels]
+    for i, label in enumerate(labels):
+        for atom in model.distribution(x, label).atoms:
+            j = model.label_index(atom.next_label)
+            mu[i] += atom.prob * atom.jump
+            sigma2[i] += atom.prob * (atom.jump * atom.jump)
+            mu_cross[i][j] += atom.prob * atom.jump
+            q[i][j] += atom.prob
+        for name, value in (("mean", mu[i]), ("second moment", sigma2[i])):
+            if not math.isfinite(value):
+                raise ValueError(f"the step's {name} at ({float(x)!r}, {label!r}) is not finite")
+    return PointMoments(float(x), np.array(mu), np.array(sigma2), np.array(mu_cross), np.array(q))
 
 
 @dataclass(frozen=True)
 class AsymptoticCoefficients:
     """Fitted (or asserted) expansion coefficients of a model's kernel.
 
-    Row identities are enforced at construction: per line, the gamma row sums
-    to 0 and the d_ij row sums to d_i, both within ROW_IDENTITY_TOL; at least
-    one t2 must be positive. ``refined_rates_hold`` is a user assertion about
-    the o(x^-delta) refinements that no finite kernel evaluation can certify.
+    ``d``, ``e``, ``t2`` have shape (S,) and ``d_cross`` (the d_ij), ``gamma``
+    shape (S, S), indexed by label position; they are stored as read-only
+    float arrays. Row identities are enforced at construction: per line, the
+    gamma row sums to 0 and the d_ij row sums to d_i, both within
+    ROW_IDENTITY_TOL; at least one t2 must be positive. ``refined_rates_hold``
+    is a user assertion about the o(x^-delta) refinements that no finite
+    kernel evaluation can certify.
     """
 
     labels: tuple
-    d: dict
-    e: dict
-    t2: dict
-    d_cross: dict    # (i, j) -> value
-    gamma: dict      # (i, j) -> value
+    d: np.ndarray
+    e: np.ndarray
+    t2: np.ndarray
+    d_cross: np.ndarray
+    gamma: np.ndarray
     Q_limit: StochasticMatrix
     pi: StationaryDistribution
     fit_residuals: dict = field(default_factory=dict)
     warnings: tuple = ()
     refined_rates_hold: bool = False
-    t2_slopes: dict | None = None
-    d_cross_slopes: dict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if max(self.t2[k] for k in self.labels) <= 0.0:
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        n = len(labels)
+        for name, shape in (("d", (n,)), ("e", (n,)), ("t2", (n,)),
+                            ("d_cross", (n, n)), ("gamma", (n, n))):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), shape, name))
+        if self.t2.max() <= 0.0:
             raise ValueError("at least one t2 must be positive")
-        for i in self.labels:
-            gap = abs(sum(self.gamma[(i, j)] for j in self.labels))
-            if gap > ROW_IDENTITY_TOL:
-                raise ValueError(f"gamma row {i!r} sums to {gap:.3e}, not 0")
-            gap = abs(sum(self.d_cross[(i, j)] for j in self.labels) - self.d[i])
-            if gap > ROW_IDENTITY_TOL:
-                raise ValueError(f"d_ij row {i!r} does not sum to d_{i!r} (gap {gap:.3e})")
+        gaps = np.abs(self.gamma.sum(axis=1))
+        if gaps.max() > ROW_IDENTITY_TOL:
+            i = int(gaps.argmax())
+            raise ValueError(f"gamma row {labels[i]!r} sums to {gaps[i]:.3e}, not 0")
+        gaps = np.abs(self.d_cross.sum(axis=1) - self.d)
+        if gaps.max() > ROW_IDENTITY_TOL:
+            i = int(gaps.argmax())
+            raise ValueError(
+                f"d_ij row {labels[i]!r} does not sum to d_{labels[i]!r} (gap {gaps[i]:.3e})"
+            )
 
     def pi_weighted_d(self) -> float:
-        return self.pi.mean([self.d[k] for k in self.labels])
+        return self.pi.mean(self.d)
 
     def to_dict(self) -> dict:
-        n = self.labels
         return {
             "type": "coefficients",
-            "labels": list(n),
-            "d": [self.d[k] for k in n],
-            "e": [self.e[k] for k in n],
-            "t2": [self.t2[k] for k in n],
-            "d_cross": [[self.d_cross[(i, j)] for j in n] for i in n],
-            "gamma": [[self.gamma[(i, j)] for j in n] for i in n],
+            "labels": list(self.labels),
+            "d": self.d.tolist(),
+            "e": self.e.tolist(),
+            "t2": self.t2.tolist(),
+            "d_cross": self.d_cross.tolist(),
+            "gamma": self.gamma.tolist(),
             "Q": self.Q_limit.entries.tolist(),
             "pi": self.pi.weights.tolist(),
             "fit_residuals": dict(self.fit_residuals),
@@ -179,10 +175,6 @@ class AsymptoticCoefficients:
                 raise ValueError(f"coefficients spec: {name} must be {n}x{n}")
             return [vec(name, row) for row in rows]
 
-        def pairs(name):
-            m = mat(name)
-            return {(i, j): m[a][b] for a, i in enumerate(labels) for b, j in enumerate(labels)}
-
         Q = StochasticMatrix(labels, mat("Q"))
         if "pi" in data:
             pi = StationaryDistribution(labels, vec("pi", data["pi"]))
@@ -200,29 +192,17 @@ class AsymptoticCoefficients:
             raise ValueError("coefficients spec: fit_residuals must be an object, warnings a list")
         return cls(
             labels=labels,
-            d=dict(zip(labels, vec("d", data["d"]))),
-            e=dict(zip(labels, vec("e", data["e"]))),
-            t2=dict(zip(labels, vec("t2", data["t2"]))),
-            d_cross=pairs("d_cross"),
-            gamma=pairs("gamma"),
+            d=vec("d", data["d"]),
+            e=vec("e", data["e"]),
+            t2=vec("t2", data["t2"]),
+            d_cross=mat("d_cross"),
+            gamma=mat("gamma"),
             Q_limit=Q,
             pi=pi,
             fit_residuals=dict(fit_residuals),
             warnings=tuple(warnings),
             refined_rates_hold=bool(data.get("refined_rates_hold", False)),
         )
-
-
-def _affine_fit(grid: np.ndarray, series: np.ndarray):
-    """Least-squares fit of series(x) against [1, 1/x].
-
-    Returns (intercept, slope, scaled_residual) with the residual being
-    max_x |series - fit| * x, the natural size of an o(1/x) violation.
-    """
-    design = np.column_stack([np.ones_like(grid), 1.0 / grid])
-    beta, *_ = np.linalg.lstsq(design, series, rcond=None)
-    resid = float(np.max(np.abs(series - design @ beta) * grid))
-    return float(beta[0]), float(beta[1]), resid
 
 
 def fit_asymptotics(
@@ -233,40 +213,44 @@ def fit_asymptotics(
 ) -> AsymptoticCoefficients:
     """Fit expansion coefficients from exact kernel moments on a position grid.
 
-    The grid must contain at least 4 points spanning at least two decades.
-    Fit residuals above ``residual_threshold`` produce warnings (the expansion
+    The grid must hold at least 4 finite, positive points spanning at least
+    two decades. Every moment series is fitted against [1, 1/x] in one
+    least-squares solve; a family's residual is the worst over its series of
+    max_x |series - fit| * x, the natural size of an o(1/x) violation.
+    Residuals above ``residual_threshold`` produce warnings (the expansion
     hypothesis looks violated), never a failure.
     """
     grid = np.array(sorted(grid if grid is not None else DEFAULT_GRID), dtype=float)
     if len(grid) < 4:
         raise ValueError("grid needs at least 4 points")
+    if not (np.isfinite(grid).all() and grid[0] > 0.0):
+        raise ValueError("grid points must be finite and positive")
     if grid[-1] < 100.0 * grid[0]:
         raise ValueError("grid must span at least two decades")
 
     labels = model.labels
+    n = len(labels)
     moments = [point_moments(model, x) for x in grid]
-
-    d, e, t2, t2_slope = {}, {}, {}, {}
-    d_cross, d_cross_slope, gamma, q_lim = {}, {}, {}, {}
-    residuals = {"mu": 0.0, "sigma2": 0.0, "mu_cross": 0.0, "q": 0.0}
-    for i in labels:
-        di, ei, r = _affine_fit(grid, np.array([m.mu[i] for m in moments]))
-        d[i], e[i] = di, ei
-        residuals["mu"] = max(residuals["mu"], r)
-        ti, si, r = _affine_fit(grid, np.array([m.sigma2[i] for m in moments]))
-        t2[i], t2_slope[i] = ti, si
-        residuals["sigma2"] = max(residuals["sigma2"], r)
-        for j in labels:
-            dij, sij, r = _affine_fit(grid, np.array([m.mu_cross[(i, j)] for m in moments]))
-            d_cross[(i, j)], d_cross_slope[(i, j)] = dij, sij
-            residuals["mu_cross"] = max(residuals["mu_cross"], r)
-            qij, gij, r = _affine_fit(grid, np.array([m.q_at[(i, j)] for m in moments]))
-            q_lim[(i, j)], gamma[(i, j)] = qij, gij
-            residuals["q"] = max(residuals["q"], r)
+    # one column per series: mu (n), sigma2 (n), mu_cross (n*n), q (n*n)
+    series = np.array([
+        np.concatenate([m.mu, m.sigma2, m.mu_cross.ravel(), m.q.ravel()]) for m in moments
+    ])
+    inv = 1.0 / grid
+    design = np.column_stack([np.ones_like(grid), inv])
+    beta, *_ = np.linalg.lstsq(design, series, rcond=None)
+    # elementwise, not design @ beta: a matrix product may round differently
+    resid = np.max(np.abs(series - (beta[0] + inv[:, None] * beta[1])) * grid[:, None], axis=0)
+    cut = np.cumsum([n, n, n * n])
+    residuals = {
+        name: float(np.max(r))
+        for name, r in zip(("mu", "sigma2", "mu_cross", "q"), np.split(resid, cut))
+    }
+    const, slope = np.split(beta[0], cut), np.split(beta[1], cut)
+    d, e, t2 = const[0], slope[0], const[1]
+    d_cross, gamma = const[2].reshape(n, n), slope[3].reshape(n, n)
     for name, values in (("d", d), ("e", e), ("t2", t2), ("d_ij", d_cross), ("gamma", gamma)):
-        for key, value in values.items():
-            if not math.isfinite(value):
-                raise ValueError(f"fitted coefficient {name}[{key!r}] is not finite")
+        if not np.isfinite(values).all():
+            raise ValueError(f"fitted coefficient {name} is not finite")
 
     warnings = [
         f"{name} fit residual {value:.3e} exceeds {residual_threshold:.1e}; "
@@ -275,7 +259,7 @@ def fit_asymptotics(
         if value > residual_threshold
     ]
 
-    raw_q = np.array([[q_lim[(i, j)] for j in labels] for i in labels])
+    raw_q = const[3].reshape(n, n)
     if raw_q.min() < -1e-9:
         warnings.append(
             f"fitted limiting transition matrix has negative entry {raw_q.min():.3e}; clipped"
@@ -284,9 +268,8 @@ def fit_asymptotics(
     raw_q /= raw_q.sum(axis=1, keepdims=True)
     Q_limit = StochasticMatrix(labels, raw_q)
     pi = stationary_distribution(Q_limit)
-    gamma = {k: float(v) for k, v in gamma.items()}
     # t2 must not be pushed negative by rounding on exact-variance kernels
-    t2 = {k: max(v, 0.0) if abs(v) < 1e-12 else v for k, v in t2.items()}
+    t2 = np.where((t2 < 0.0) & (np.abs(t2) < 1e-12), 0.0, t2)
 
     return AsymptoticCoefficients(
         labels=labels,
@@ -297,11 +280,9 @@ def fit_asymptotics(
         gamma=gamma,
         Q_limit=Q_limit,
         pi=pi,
-        fit_residuals={k: float(v) for k, v in residuals.items()},
+        fit_residuals=residuals,
         warnings=tuple(warnings),
         refined_rates_hold=refined_rates_hold,
-        t2_slopes=t2_slope,
-        d_cross_slopes=d_cross_slope,
     )
 
 
@@ -313,6 +294,6 @@ def check_regime(coeffs: AsymptoticCoefficients, tol: float = 1e-9) -> RegimeTag
     """
     if abs(coeffs.pi_weighted_d()) > tol:
         return RegimeTag.CONSTANT_DRIFT
-    if all(abs(coeffs.d[k]) <= tol for k in coeffs.labels):
+    if (np.abs(coeffs.d) <= tol).all():
         return RegimeTag.LAMPERTI
     return RegimeTag.GENERALIZED_LAMPERTI

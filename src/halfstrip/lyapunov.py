@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .classify import LampertiCoefficients
 from .drift import DEFAULT_GRID
 from .markov import solve_strict_drift
@@ -69,8 +71,7 @@ def choose_b(lc: LampertiCoefficients, nu: float, direction: str) -> dict:
     requested sign; at the critical exponent nu = 2 theta* that mean is
     exactly zero and no such b exists.
     """
-    u = {k: 2.0 * lc.c[k] + (nu - 1.0) * lc.s2[k] for k in lc.labels}
-    return solve_strict_drift(lc.Q_limit, u, direction, pi=lc.pi)
+    return solve_strict_drift(lc.Q_limit, 2.0 * lc.c + (nu - 1.0) * lc.s2, direction, pi=lc.pi)
 
 
 def expected_f_increment(model, spec: LyapunovSpec, state) -> float:
@@ -84,16 +85,14 @@ def expected_f_increment(model, spec: LyapunovSpec, state) -> float:
     )
 
 
-def bracket(lc: LampertiCoefficients, spec: LyapunovSpec, label) -> float:
-    """2 c_i + (nu-1) s2_i + sum_j (b_j - b_i) q_ij with limiting q."""
-    nu = spec.nu
+def bracket(lc: LampertiCoefficients, spec: LyapunovSpec) -> np.ndarray:
+    """2 c_i + (nu-1) s2_i + sum_j (b_j - b_i) q_ij with limiting q, for every
+    line, by label position."""
+    b = np.array([spec.b[k] for k in lc.labels])
     return (
-        2.0 * lc.c[label]
-        + (nu - 1.0) * lc.s2[label]
-        + sum(
-            (spec.b[j] - spec.b[label]) * lc.Q_limit.prob(label, j)
-            for j in lc.labels
-        )
+        2.0 * lc.c
+        + (spec.nu - 1.0) * lc.s2
+        + ((b - b[:, None]) * lc.Q_limit.entries).sum(axis=1)
     )
 
 
@@ -137,16 +136,13 @@ def verify_drift_estimate(
     """
     grid = tuple(sorted(float(x) for x in (grid if grid is not None else DEFAULT_GRID)))
     rows = []
-    degenerate = []
     worst = []
-    for label in lc.labels:
-        if abs(bracket(lc, spec, label)) <= BRACKET_DEGENERATE_TOL:
-            degenerate.append(label)
+    brackets = bracket(lc, spec).tolist()
+    degenerate = [k for k, br in zip(lc.labels, brackets) if abs(br) <= BRACKET_DEGENERATE_TOL]
     for x in grid:
         errs = []
-        for label in lc.labels:
+        for label, br in zip(lc.labels, brackets):
             inc = expected_f_increment(model, spec, State(x, label))
-            br = bracket(lc, spec, label)
             leading = 0.5 * spec.nu * x ** (spec.nu - 2.0) * br
             if label in degenerate:
                 rows.append(DriftRatioRow(x, label, inc, leading, None))

@@ -394,11 +394,14 @@ def shift_model(model: ChainModel, offsets: Mapping[Label, float]) -> ShiftedCha
 def _prob_extremes(c, b, g, delta, x_from):
     """Candidate extreme values of p over [x_from, infinity)."""
     values = [c + b / x_from + g * x_from ** (-1.0 - delta), c]
-    # interior critical point: p'(x) = 0 at x* = (-g(1+delta)/b)^(1/delta)
+    # interior critical point: p'(x) = 0 at x* = (-g(1+delta)/b)^(1/delta).
+    # One beyond e^709 (about the largest float) is not computed: p there is c.
     if b != 0.0 and g != 0.0 and (g * b) < 0.0:
-        x_star = (-g * (1.0 + delta) / b) ** (1.0 / delta)
-        if x_star > x_from:
-            values.append(c + b / x_star + g * x_star ** (-1.0 - delta))
+        base = -float(g) * (1.0 + delta) / float(b)
+        if base > 0.0 and math.log(base) / delta < 709.0:
+            x_star = base ** (1.0 / delta)
+            if x_star > x_from:
+                values.append(c + b / x_star + g * x_star ** (-1.0 - delta))
     return min(values), max(values)
 
 

@@ -82,8 +82,8 @@ def simulate(model, start: State, horizon: int, seed: int) -> Trajectory:
         raise ValueError("horizon must be >= 0")
     li = model.label_index(start.label)
     pos = float(start.position)
-    if pos < 0.0:
-        raise ValueError("start position must be >= 0")
+    if not (math.isfinite(pos) and pos >= 0.0):
+        raise ValueError(f"start position must be finite and >= 0, got {pos!r}")
     positions = np.empty(horizon + 1)
     label_idx = np.empty(horizon + 1, dtype=np.int64)
     positions[0] = pos
@@ -249,9 +249,11 @@ def sample_passage_times(
         raise ValueError("n must be >= 0")
     li = model.label_index(start.label)
     pos = float(start.position)
-    if pos < 0.0:
-        raise ValueError("start position must be >= 0")
+    if not (math.isfinite(pos) and pos >= 0.0):
+        raise ValueError(f"start position must be finite and >= 0, got {pos!r}")
     level = float(level)
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level!r}")
 
     size = max(1, min(DEFAULT_BATCH, math.ceil(n / max(workers, 1))))
     args = [(model, pos, li, level, cap, master_seed, i0, min(size, n - i0), DEFAULT_BLOCK)

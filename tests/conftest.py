@@ -35,11 +35,11 @@ def random_generalized_coefficients(rng, max_labels=5):
         gamma -= gamma.sum(axis=1, keepdims=True) / n
         coeffs = AsymptoticCoefficients(
             labels=labels,
-            d={k: float(v) for k, v in zip(labels, d)},
-            e={k: float(v) for k, v in zip(labels, e)},
-            t2={k: float(v) for k, v in zip(labels, t2)},
-            d_cross={(i, j): float(d_cross[i, j]) for i in labels for j in labels},
-            gamma={(i, j): float(gamma[i, j]) for i in labels for j in labels},
+            d=d,
+            e=e,
+            t2=t2,
+            d_cross=d_cross,
+            gamma=gamma,
             Q_limit=Q,
             pi=pi,
         )

@@ -118,8 +118,7 @@ def test_criterion_3_translation_invariance_and_residuals():
     U0, V0 = compute_uv(coeffs, a)
     rng = np.random.default_rng(SEED)
     for shift in rng.uniform(-50, 50, size=20):
-        shifted = {k: v + float(shift) for k, v in a.as_dict().items()}
-        U, V = compute_uv(coeffs, shifted)
+        U, V = compute_uv(coeffs, a.values + shift)
         assert abs(U - U0) <= 1e-10
         assert abs(V - V0) <= 1e-10
     worst = 0.0

@@ -30,14 +30,12 @@ PI_SYM = stationary_distribution(SYM)
 
 def lamperti(c, s2, Q=SYM, pi=PI_SYM):
     labels = Q.labels
-    return LampertiCoefficients(
-        labels, dict(zip(labels, c)), dict(zip(labels, s2)), Q, pi
-    )
+    return LampertiCoefficients(labels, c, s2, Q, pi)
 
 
 class TestClassifyConstant:
     def test_positive_mean_is_transient(self):
-        co = _with_d(CRW_COEFFS, {1: 0.3, -1: 0.3})
+        co = _with_d(CRW_COEFFS, (0.3, 0.3))
         cls = classify_constant(co)
         assert cls.verdict is Verdict.TRANSIENT
 
@@ -56,7 +54,7 @@ class TestClassifyConstant:
 
 class TestClassifyLamperti:
     def test_single_line_null(self):
-        lc = LampertiCoefficients((0,), {0: 0.0}, {0: 1.0}, SINGLE, PI_SINGLE)
+        lc = LampertiCoefficients((0,), [0.0], [1.0], SINGLE, PI_SINGLE)
         cls = classify_lamperti(lc)
         assert cls.verdict is Verdict.NULL_RECURRENT
         assert (cls.U, cls.V) == (0.0, 1.0)
@@ -83,7 +81,7 @@ class TestClassifyLamperti:
 
     def test_degenerate_variance_rejected(self):
         with pytest.raises(DegenerateVarianceError):
-            LampertiCoefficients((0,), {0: 0.0}, {0: 0.0}, SINGLE, PI_SINGLE)
+            LampertiCoefficients((0,), [0.0], [0.0], SINGLE, PI_SINGLE)
 
 
 class TestTransform:
@@ -91,22 +89,20 @@ class TestTransform:
         lc, a = transform_generalized(CRW_COEFFS)
         assert a[1] == pytest.approx(0.5, abs=1e-10)
         assert a[-1] == pytest.approx(0.0, abs=1e-12)
-        for i in (1, -1):
-            assert lc.c[i] == pytest.approx(0.25, abs=1e-10)
-            assert lc.s2[i] == pytest.approx(1.5, abs=1e-10)
+        assert lc.c.tolist() == pytest.approx([0.25, 0.25], abs=1e-10)
+        assert lc.s2.tolist() == pytest.approx([1.5, 1.5], abs=1e-10)
         # pi-weighted transformed variance equals q/(1-q)
-        assert lc.pi.mean([lc.s2[k] for k in lc.labels]) == pytest.approx(1.5, abs=1e-10)
+        assert lc.pi.mean(lc.s2) == pytest.approx(1.5, abs=1e-10)
 
     def test_lamperti_input_degenerates_to_identity(self):
         co = fit_asymptotics(make_crw(0.5, 0.2, 0.3))
         lc, a = transform_generalized(co)
         assert np.allclose(a.values, 0.0, atol=1e-10)
-        for i in (1, -1):
-            assert lc.c[i] == pytest.approx(co.e[i], abs=1e-9)
-            assert lc.s2[i] == pytest.approx(co.t2[i], abs=1e-9)
+        assert np.allclose(lc.c, co.e, atol=1e-9)
+        assert np.allclose(lc.s2, co.t2, atol=1e-9)
 
     def test_uncentered_raises(self):
-        co = _with_d(CRW_COEFFS, {1: 0.3, -1: 0.3})
+        co = _with_d(CRW_COEFFS, (0.3, 0.3))
         with pytest.raises(NonCenteredError):
             transform_generalized(co)
 
@@ -121,8 +117,7 @@ class TestComputeUV:
     def test_translation_invariance(self):
         _, a = transform_generalized(CRW_COEFFS)
         U0, V0 = compute_uv(CRW_COEFFS, a)
-        shifted = {k: v + 7.0 for k, v in a.as_dict().items()}
-        U1, V1 = compute_uv(CRW_COEFFS, shifted)
+        U1, V1 = compute_uv(CRW_COEFFS, a.values + 7.0)
         assert U1 == pytest.approx(U0, abs=1e-10)
         assert V1 == pytest.approx(V0, abs=1e-10)
 
@@ -239,31 +234,26 @@ def _with_d(co, new_d):
     """Coefficient set with replaced constant drift parts (d_cross shifted to match)."""
     from halfstrip import AsymptoticCoefficients
 
-    labels = co.labels
-    n = len(labels)
-    d_cross = dict(co.d_cross)
-    for i in labels:
-        gap = new_d[i] - sum(d_cross[(i, j)] for j in labels)
-        for j in labels:
-            d_cross[(i, j)] += gap / n
+    new_d = np.asarray(new_d, dtype=float)
+    gap = new_d - co.d_cross.sum(axis=1)
     return AsymptoticCoefficients(
-        labels=labels, d=dict(new_d), e=co.e, t2=co.t2,
-        d_cross=d_cross, gamma=co.gamma, Q_limit=co.Q_limit, pi=co.pi,
+        labels=co.labels, d=new_d, e=co.e, t2=co.t2,
+        d_cross=co.d_cross + gap[:, None] / len(co.labels), gamma=co.gamma,
+        Q_limit=co.Q_limit, pi=co.pi,
     )
 
 
 def _generic_coeffs(Q, pi, d):
     from halfstrip import AsymptoticCoefficients
 
-    labels = Q.labels
-    n = len(labels)
+    n = Q.size
     return AsymptoticCoefficients(
-        labels=labels,
-        d=dict(zip(labels, d)),
-        e={k: 0.0 for k in labels},
-        t2={k: 1.0 for k in labels},
-        d_cross={(i, j): d[Q.index(i)] / n for i in labels for j in labels},
-        gamma={(i, j): 0.0 for i in labels for j in labels},
+        labels=Q.labels,
+        d=d,
+        e=np.zeros(n),
+        t2=np.ones(n),
+        d_cross=np.repeat(np.asarray(d, dtype=float)[:, None] / n, n, axis=1),
+        gamma=np.zeros((n, n)),
         Q_limit=Q,
         pi=pi,
     )

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -110,9 +111,17 @@ class TestMalformedSpecs:
             ("[" + json.dumps(CRW_NULL) + "]", []),
             (json.dumps({**DRIFTING, "labels": [[0]], "lines": {"[0]": []}}), []),
             (json.dumps({**COEFFS, "labels": [[1], [-1]]}), []),
+            (json.dumps(CRW_NULL), ["--tol", "nan"]),
+            (json.dumps(CRW_NULL), ["--tol", "-1"]),
+            (json.dumps(CRW_NULL), ["--tol", "inf"]),
+            (json.dumps(CRW_NULL), ["--centering-tol", "nan"]),
+            (json.dumps(CRW_NULL), ["--centering-tol", "-0.5"]),
+            (json.dumps(CRW_NULL), ["--p-cap", "nan"]),
+            (json.dumps(CRW_NULL), ["--p-cap", "0"]),
         ],
         ids=["inf-jump", "inf-jump-refined", "huge-jump", "q-null", "q-list", "top-level-array",
-             "tabular-list-labels", "coefficients-list-labels"],
+             "tabular-list-labels", "coefficients-list-labels", "tol-nan", "tol-negative",
+             "tol-inf", "centering-tol-nan", "centering-tol-negative", "p-cap-nan", "p-cap-zero"],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, text, flags):
         path = tmp_path / "spec.json"
@@ -121,6 +130,36 @@ class TestMalformedSpecs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @staticmethod
+    def assert_one_line_exit_2(capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_verify_nan_tol(self, tmp_path, capsys):
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        self.assert_one_line_exit_2(capsys, ["verify", "--model", spec, "--tol", "nan"])
+
+    @pytest.mark.parametrize("start,level", [("nan,1", "10"), ("inf,1", "10"), ("50,1", "nan")],
+                             ids=["start-nan", "start-inf", "level-nan"])
+    def test_simulate_non_finite_start_or_level(self, tmp_path, capsys, start, level):
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        out = tmp_path / "tau.csv"
+        self.assert_one_line_exit_2(capsys, [
+            "simulate", "--model", spec, "--start", start, "--level", level,
+            "--cap", "100", "--n", "5", "--out", str(out), "--summary", str(tmp_path / "s.json"),
+        ])
+        assert not out.exists()
+
+    def test_fit_grid_point_not_positive(self, tmp_path, capsys):
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_one_line_exit_2(
+                capsys, ["fit", "--model", spec, "--grid", "0,100,1000,10000,100000"]
+            )
 
     @pytest.mark.parametrize("jump", ["1e80", "1e160"])
     def test_verify_huge_jump_ends_in_a_report_or_one_line(self, tmp_path, capsys, jump):
@@ -266,6 +305,20 @@ class TestVerify:
         ]) == 0
         out_text = capsys.readouterr().out
         assert "FAIL asserted-coefficients" in out_text
+
+    @pytest.mark.parametrize("d_cross,verdict", [
+        ([[0.6, -0.4], [0.4, -0.6]], "PASS"),
+        ([[5.6, -5.4], [0.4, -0.6]], "FAIL"),   # rows still sum to d; V moves to 4.0
+    ])
+    def test_asserted_cross_drifts_are_compared(self, tmp_path, capsys, d_cross, verdict):
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        coeffs = write(tmp_path, "coeffs.json", {**TestMalformedSpecs.COEFFS,
+                                                 "labels": [1, -1], "d_cross": d_cross})
+        assert main([
+            "verify", "--model", spec, "--coefficients", coeffs,
+            "--start", "50,1", "--level", "10", "--cap", "2000", "--n", "50", "--seed", "5",
+        ]) == 0
+        assert f"{verdict} asserted-coefficients" in capsys.readouterr().out
 
     def test_lyapunov_table_emitted(self, tmp_path, capsys):
         spec = write(tmp_path, "crw.json", CRW_NULL)

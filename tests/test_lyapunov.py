@@ -34,7 +34,7 @@ SYMMETRIC_WALK = make_tabular({
 })
 SINGLE = StochasticMatrix((0,), [[1.0]])
 PI_SINGLE = stationary_distribution(SINGLE)
-WALK_LC = LampertiCoefficients((0,), {0: 0.0}, {0: 1.0}, SINGLE, PI_SINGLE)
+WALK_LC = LampertiCoefficients((0,), [0.0], [1.0], SINGLE, PI_SINGLE)
 
 CRW = make_crw(0.6, 0.2, 0.2)
 CRW_LC, CRW_A = transform_generalized(fit_asymptotics(CRW))
@@ -87,7 +87,7 @@ class TestFNu:
 
 class TestChooseB:
     def test_single_line_uniform(self):
-        lc = LampertiCoefficients((0,), {0: -1.0}, {0: 1.0}, SINGLE, PI_SINGLE)
+        lc = LampertiCoefficients((0,), [-1.0], [1.0], SINGLE, PI_SINGLE)
         b = choose_b(lc, nu=1.0, direction="negative")
         assert b[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -102,8 +102,7 @@ class TestChooseB:
         # u = 2c + (nu - 1) s2 is exactly zero: no strict b exists
         Q = StochasticMatrix((0, 1), [[0.5, 0.5], [0.5, 0.5]])
         lc = LampertiCoefficients(
-            (0, 1), {0: 0.25, 1: 0.25}, {0: 1.0, 1: 1.0},
-            Q, stationary_distribution(Q),
+            (0, 1), [0.25, 0.25], [1.0, 1.0], Q, stationary_distribution(Q),
         )
         with pytest.raises(WrongSignError):
             choose_b(lc, nu=0.5, direction="negative")
@@ -111,12 +110,11 @@ class TestChooseB:
     def test_nonuniform_checked_by_substitution(self):
         Q = StochasticMatrix((0, 1), [[0.6, 0.4], [0.4, 0.6]])
         pi = stationary_distribution(Q)
-        lc = LampertiCoefficients((0, 1), {0: 0.5, 1: -1.0}, {0: 0.0, 1: 1.0}, Q, pi)
+        lc = LampertiCoefficients((0, 1), [0.5, -1.0], [0.0, 1.0], Q, pi)
         b = choose_b(lc, nu=1.0, direction="negative")
-        for i in (0, 1):
-            u_i = 2 * lc.c[i] + 0.0 * lc.s2[i]
-            slack = u_i + sum((b[j] - b[i]) * Q.prob(i, j) for j in (0, 1))
-            assert slack < 0
+        bvec = np.array([b[k] for k in lc.labels])
+        slack = 2 * lc.c + 0.0 * lc.s2 + ((bvec - bvec[:, None]) * Q.entries).sum(axis=1)
+        assert (slack < 0).all()
 
 
 class TestExpectedIncrement:
@@ -145,7 +143,8 @@ class TestExpectedIncrement:
         spec = lyapunov_spec(2.0, {1: 0.0, -1: 0.0})
         x = 1e4
         inc = expected_f_increment(CRW_SHIFTED, spec, State(x, 1))
-        bracket = 2 * CRW_LC.c[1] + 1.0 * CRW_LC.s2[1]
+        up = CRW_LC.labels.index(1)
+        bracket = 2 * CRW_LC.c[up] + 1.0 * CRW_LC.s2[up]
         assert inc == pytest.approx(bracket, rel=2e-3)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,14 @@ class TestMakeCrw:
         # at x = 1 the corrected probability 0.6 + 0.75 leaves [0.01, 0.99]
         assert 0.6 + 0.75 / 1.0 > 0.99
         assert 0.6 + 0.75 / 2.0 <= 0.99
+
+    def test_critical_point_beyond_float_range_is_skipped(self):
+        # p = c + b/x + g x^(-1-delta) has its interior critical point near
+        # x = 1e400 here; computing it overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = make_crw(0.6, -1e-6, -1e-6, delta=0.01, correction_amplitude=0.1)
+        assert m.formula_floor == 1.0
 
     def test_rejects_bad_q(self):
         for q in (0.0, 1.0, -0.3, 1.7):
