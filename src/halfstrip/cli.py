@@ -102,6 +102,8 @@ def _parse_start(text: str, model) -> State:
         pos = float(pos_txt)
     except ValueError:
         raise SystemExit(f"error: --start must look like 'X,LABEL', got {text!r}")
+    if not (math.isfinite(pos) and pos >= 0.0):
+        raise ValueError(f"--start position must be finite and >= 0, got {pos!r}")
     for label in model.labels:
         if str(label) == label_txt:
             return State(pos, label)
@@ -236,6 +238,7 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 def cmd_verify(args) -> int:
     spec, digest = _load_json(args.model)
     model = model_from_spec(spec)
+    start = _parse_start(args.start, model) if args.start else State(50.0, model.labels[0])
     checks = []
 
     report = validate_model(model)
@@ -277,15 +280,12 @@ def cmd_verify(args) -> int:
         f"(U={classification.U:.6g}, V={classification.V:.6g}, regime={regime.value})"
     )
 
-    start = _parse_start(args.start, model) if args.start else State(50.0, model.labels[0])
     diag = recurrence_diagnostic(
         model,
         start,
         level=args.level,
         cap=args.cap,
         n_passage=args.n,
-        horizon=max(args.cap // 4, 1000),
-        n_paths=min(args.n, 500),
         master_seed=args.seed,
         workers=args.threads,
     )
@@ -437,8 +437,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Refuse a NaN, infinite or negative tolerance, and a --p-cap that is not
-    positive, before any of them can reach a verdict or an output."""
+    """Refuse a NaN, infinite or negative tolerance, a --p-cap that is not
+    positive and a non-finite --level, before any of them can reach a verdict
+    or an output."""
     for name in ("tol", "centering_tol"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value >= 0.0):
@@ -446,11 +447,36 @@ def _check_flags(args) -> None:
             raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
     if not getattr(args, "p_cap", math.inf) > 0.0:
         raise ValueError(f"--p-cap must be > 0, got {args.p_cap!r}")
+    if not math.isfinite(getattr(args, "level", 0.0)):
+        raise ValueError(f"--level must be finite, got {args.level!r}")
+
+
+def _is_negative_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.startswith("-")
+
+
+def _attach_negative_values(argv: list) -> list:
+    """``--tol -1e-3`` -> ``--tol=-1e-3``: argparse recognises ``-0.5`` as a
+    negative number but takes ``-1e-3`` or ``-inf`` for an option, so the
+    value would never reach the checks above."""
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and len(flag) > 2 and "=" not in flag
+                and _is_negative_number(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_flags(args)
         return args.fn(args)

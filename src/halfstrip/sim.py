@@ -5,11 +5,16 @@ Reproducibility contract
 ------------------------
 Every trajectory owns a private RNG stream derived from the master seed and
 its index by a counter scheme: stream(k) = PCG64(SeedSequence(master_seed,
-spawn_key=(domain, k))). A trajectory consumes exactly one uniform per step
+spawn_key=(domain, k))). The passage sampler computes the seed words of a
+whole chunk's streams at once (``_seed_words``, numpy's SeedSequence hash
+vectorised over k) and hands them to PCG64, so the streams are exactly those
+of the scheme. A trajectory consumes exactly one uniform per step
 (deterministic steps included), in stream order, so its output is a pure
-function of (model, start, level, cap, master_seed, index). Batched stepping
-and worker counts only change scheduling and how many pre-drawn uniforms are
-discarded -- never any output byte.
+function of (model, start, level, cap, master_seed, index). Uniforms are
+pre-drawn per trajectory in blocks that start at 16 and double up to
+DEFAULT_BLOCK; block sizes, batched stepping and worker counts only change
+scheduling and how many pre-drawn uniforms are discarded -- never any output
+byte.
 
 Censoring
 ---------
@@ -31,6 +36,7 @@ from .model import State
 
 DEFAULT_BLOCK = 2048
 DEFAULT_BATCH = 4096
+_FIRST_BLOCK = 16
 SCALAR_TAIL = 16
 _DOMAIN_PASSAGE = 0
 _DOMAIN_HORIZON = 1
@@ -46,6 +52,85 @@ def _stream(master_seed: int, domain: int, index: int) -> np.random.Generator:
     entropy = int(master_seed) % (2**64)
     seq = np.random.SeedSequence(entropy, spawn_key=(domain, index))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+# numpy's SeedSequence hash (bit_generator.pyx), on uint32 words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple:
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const
+    return value ^ (value >> 16), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _seed_words(master_seed: int, domain: int, index0: int, count: int) -> np.ndarray:
+    """``SeedSequence(master_seed % 2**64, spawn_key=(domain, k))
+    .generate_state(4, np.uint64)`` for k = index0 .. index0 + count - 1, as a
+    ``(count, 4)`` uint64 array: the same uint32 hash, one array lane per k."""
+    if index0 < 0 or index0 + count > 2**32:
+        # a larger k takes two words in the spawn key, which this layout omits
+        raise ValueError(
+            f"stream indices must lie in [0, 2**32), got {index0}..{index0 + count - 1}")
+    entropy = int(master_seed) % (2**64)
+    # run entropy zero-padded to the pool size (as with any spawn key), then the key
+    words = [entropy & _MASK32, entropy >> 32, 0, 0, domain]
+    assembled = [np.full(count, w, dtype=np.uint32) for w in words]
+    assembled.append(np.arange(index0, index0 + count, dtype=np.int64).astype(np.uint32))
+
+    # mix_entropy with a pool of 4
+    const = _INIT_A
+    pool = []
+    for word in assembled[:4]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in assembled[4:]:
+        for dst in range(4):
+            value, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+
+    # generate_state(8 uint32 words), read as 4 little-endian uint64 words
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        value, const = _hashmix(pool[i % 4], const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    return np.stack([state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)],
+                    axis=1)
+
+
+def _streams(master_seed: int, domain: int, index0: int, count: int) -> list:
+    """``[_stream(master_seed, domain, k) for k in range(index0, index0 + count)]``,
+    with the seed words computed in bulk."""
+
+    # defined per call: a module-level subclass would import numpy.random at import
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        """A seed sequence whose PCG64 state words are already computed."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds exactly the 4 uint64 words that PCG64 asks for")
+            return self.words
+
+    return [np.random.Generator(np.random.PCG64(SeedWords(w)))
+            for w in _seed_words(master_seed, domain, index0, count)]
 
 
 def _refill(buffer: np.ndarray, gens: list) -> None:
@@ -148,17 +233,19 @@ class PassageSample:
     steps: int
 
 
-def _finish_scalar(model, x, li, level, cap, steps, gen, row_tail, block):
+def _finish_scalar(model, x, li, level, cap, steps, gen, row_tail, width, block):
     """Run one trajectory to absorption or cap with the scalar step lane,
-    continuing mid-block exactly where the vector lane stopped."""
+    continuing mid-block exactly where the vector lane stopped; the next block
+    keeps doubling from that lane's ``width`` up to ``block``."""
     step = model.step_scalar
     data = row_tail
     cursor = 0
     n_data = len(data)
     while steps < cap:
         if cursor == n_data:
-            data = gen.random(block).tolist()
-            n_data = block
+            width = min(2 * width, block)
+            data = gen.random(width).tolist()
+            n_data = width
             cursor = 0
         x, li = step(x, li, data[cursor])
         cursor += 1
@@ -173,12 +260,14 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
     if start_pos <= level:
         taus[:] = 0
         return taus
-    gens = [_stream(master_seed, _DOMAIN_PASSAGE, index0 + k) for k in range(count)]
+    gens = _streams(master_seed, _DOMAIN_PASSAGE, index0, count)
     x = np.full(count, float(start_pos))
     lab = np.full(count, start_li, dtype=np.int64)
     orig = np.arange(count)
     done = np.zeros(count, dtype=bool)
-    buf = np.empty((count, block))
+    # most walks end within a few dozen steps: start small, double at each refill
+    width = min(_FIRST_BLOCK, block)
+    buf = np.empty((count, width))
     _refill(buf, gens)
     cursor = 0
     steps = 0
@@ -189,14 +278,19 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
             if not done[row]:
                 taus[orig[row]] = _finish_scalar(
                     model, float(x[row]), int(lab[row]), level, cap, steps,
-                    gens[row], buf[row, cursor:].tolist(), block,
+                    gens[row], buf[row, cursor:].tolist(), width, block,
                 )
 
     if count <= SCALAR_TAIL:
         scalar_tail()
         return taus
     while steps < cap:
-        if cursor == block:
+        if cursor == width:
+            if width < block:
+                width = min(2 * width, block)
+                # free the old block (u is a view of it) before allocating the wider one
+                u = buf = None
+                buf = np.empty((len(orig), width))
             _refill(buf, gens)
             cursor = 0
         u = buf[:, cursor]
@@ -459,24 +553,21 @@ class DiagnosticReport:
     start: State
     level: float
     cap: int
-    horizon: int
     n_passage: int
-    n_paths: int
     censored_fraction: float
     return_fraction_by_cap: dict
     mean_return_by_cap: dict
     mean_return_ratio: float
-    median_x: dict            # horizon -> median position
-    median_x_ratio: float
-    median_xsq_ratio: float
     empirical_call: str
     rule: str = _DIAGNOSTIC_RULE
     samples: tuple = field(default=(), compare=False, repr=False)
 
 
 def _horizon_chunk(model, start_pos, start_li, snapshots, master_seed, index0, count):
+    """Positions of trajectories index0 .. index0 + count - 1 after each step
+    count in ``snapshots``, as {steps: array}."""
     block = DEFAULT_BLOCK
-    gens = [_stream(master_seed, _DOMAIN_HORIZON, index0 + k) for k in range(count)]
+    gens = _streams(master_seed, _DOMAIN_HORIZON, index0, count)
     x = np.full(count, float(start_pos))
     lab = np.full(count, start_li, dtype=np.int64)
     buf = np.empty((count, block))
@@ -500,14 +591,12 @@ def recurrence_diagnostic(
     start: State,
     level: float,
     cap: int = 200_000,
-    horizon: int = 100_000,
     n_passage: int = 2000,
-    n_paths: int = 400,
     master_seed: int = 0,
     workers: int = 1,
 ) -> DiagnosticReport:
-    """Empirical recurrence probe: return statistics across nested caps plus
-    position growth across a doubled horizon, with a documented three-way call.
+    """Empirical recurrence probe: return statistics across nested caps, with a
+    documented three-way call.
     """
     samples = sample_passage_times(
         model, start, level, cap, n_passage, master_seed, workers=workers
@@ -520,15 +609,6 @@ def recurrence_diagnostic(
     mean_return = {c: float(np.mean(np.minimum(steps, c))) for c in caps}
     ratio = mean_return[cap] / mean_return[max(cap // 2, 1)]
 
-    li = model.label_index(start.label)
-    snaps = _horizon_chunk(
-        model, float(start.position), li, (horizon, 2 * horizon), master_seed, 0, n_paths
-    )
-    med = {t: float(np.median(v)) for t, v in snaps.items()}
-    med_sq = {t: float(np.median(v**2)) for t, v in snaps.items()}
-    median_x_ratio = med[2 * horizon] / max(med[horizon], 1e-300)
-    median_xsq_ratio = med_sq[2 * horizon] / max(med_sq[horizon], 1e-300)
-
     if censored_fraction > 0.5:
         call = "escaping"
     elif ratio <= 1.1:
@@ -540,16 +620,11 @@ def recurrence_diagnostic(
         start=State(float(start.position), start.label),
         level=float(level),
         cap=int(cap),
-        horizon=int(horizon),
         n_passage=int(n_passage),
-        n_paths=int(n_paths),
         censored_fraction=censored_fraction,
         return_fraction_by_cap=return_fraction,
         mean_return_by_cap=mean_return,
         mean_return_ratio=float(ratio),
-        median_x=med,
-        median_x_ratio=float(median_x_ratio),
-        median_xsq_ratio=float(median_xsq_ratio),
         empirical_call=call,
         samples=tuple(samples),
     )

@@ -116,12 +116,16 @@ class TestMalformedSpecs:
             (json.dumps(CRW_NULL), ["--tol", "inf"]),
             (json.dumps(CRW_NULL), ["--centering-tol", "nan"]),
             (json.dumps(CRW_NULL), ["--centering-tol", "-0.5"]),
+            (json.dumps(CRW_NULL), ["--centering-tol", "-1e-9"]),
+            (json.dumps(CRW_NULL), ["--tol", "-1e-3"]),
             (json.dumps(CRW_NULL), ["--p-cap", "nan"]),
             (json.dumps(CRW_NULL), ["--p-cap", "0"]),
         ],
         ids=["inf-jump", "inf-jump-refined", "huge-jump", "q-null", "q-list", "top-level-array",
              "tabular-list-labels", "coefficients-list-labels", "tol-nan", "tol-negative",
-             "tol-inf", "centering-tol-nan", "centering-tol-negative", "p-cap-nan", "p-cap-zero"],
+             "tol-inf", "centering-tol-nan", "centering-tol-negative",
+             "centering-tol-negative-exponent", "tol-negative-exponent", "p-cap-nan",
+             "p-cap-zero"],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, text, flags):
         path = tmp_path / "spec.json"
@@ -141,6 +145,16 @@ class TestMalformedSpecs:
     def test_verify_nan_tol(self, tmp_path, capsys):
         spec = write(tmp_path, "crw.json", CRW_NULL)
         self.assert_one_line_exit_2(capsys, ["verify", "--model", spec, "--tol", "nan"])
+
+    @pytest.mark.parametrize("flags", [["--start", "nan,1"], ["--start", "inf,1"],
+                                       ["--level", "nan"]],
+                             ids=["start-nan", "start-inf", "level-nan"])
+    def test_verify_bad_start_or_level_before_any_check(self, tmp_path, capsys, flags):
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        report = tmp_path / "report.json"
+        self.assert_one_line_exit_2(
+            capsys, ["verify", "--model", spec, *flags, "--report", str(report)])
+        assert not report.exists()
 
     @pytest.mark.parametrize("start,level", [("nan,1", "10"), ("inf,1", "10"), ("50,1", "nan")],
                              ids=["start-nan", "start-inf", "level-nan"])

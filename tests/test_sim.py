@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,7 @@ class TestPassageSampling:
         for workers, constants in (
             (2, {}),
             (1, {"DEFAULT_BLOCK": 256}),
+            (1, {"DEFAULT_BLOCK": 16}),
             (1, {"DEFAULT_BATCH": 64}),
             (2, {"DEFAULT_BLOCK": 512, "DEFAULT_BATCH": 37}),
         ):
@@ -178,9 +180,50 @@ class TestPassageSampling:
             assert s.tau == first_hit
             assert s.censored == (first_hit is None)
 
+    def test_wider_block_replaces_the_old_one(self):
+        # the old block and its column view are freed before the wider block
+        # is allocated, so peak memory stays near the widest block alone
+        model = make_crw(0.6, 1.5, 1.5)  # transient: almost every row reaches the cap
+        rows, block = 512, 2048
+        tracemalloc.start()
+        try:
+            sim._passage_chunk(model, 50.0, model.label_index(1), 10.0, 2100, 1, 0, rows, block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * rows * block * 8
+
     def test_censoring_flags(self):
         samples = sample_passage_times(CRW, State(200.0, 1), 1.0, cap=50, n=20, master_seed=3)
         assert all(s.censored and s.tau is None and s.steps == 50 for s in samples)
+
+
+class TestBulkSeeding:
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -5, 2**64 + 5)
+    INDICES = (0, 1, 4095, 4096, 2**32 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_and_draws_match_seed_sequence(self, seed):
+        for domain in range(4):
+            for k in self.INDICES:
+                ref = np.random.SeedSequence(seed % 2**64, spawn_key=(domain, k))
+                assert np.array_equal(sim._seed_words(seed, domain, k, 1)[0],
+                                      ref.generate_state(4, np.uint64))
+                (gen,) = sim._streams(seed, domain, k, 1)
+                assert np.array_equal(gen.random(3000),
+                                      sim._stream(seed, domain, k).random(3000))
+
+    def test_words_of_a_chunk_are_those_of_each_index(self):
+        words = sim._seed_words(7, 0, 4090, 12)
+        for row, k in enumerate(range(4090, 4102)):
+            ref = np.random.SeedSequence(7, spawn_key=(0, k)).generate_state(4, np.uint64)
+            assert np.array_equal(words[row], ref)
+
+    def test_index_beyond_one_spawn_word_is_refused(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            sim._streams(0, 0, 2**32 - 1, 2)
+        with pytest.raises(ValueError):
+            sim._streams(0, 0, 2**32, 1)
 
 
 class TestEmpiricalMoment:
@@ -250,7 +293,7 @@ class TestRecurrenceDiagnostic:
         model = make_crw(0.6, -1.0, -1.0)
         rep = recurrence_diagnostic(
             model, State(50.0, 1), 10.0,
-            cap=20_000, horizon=5_000, n_passage=400, n_paths=100, master_seed=1,
+            cap=20_000, n_passage=400, master_seed=1,
         )
         assert rep.empirical_call == "returning-with-stable-mean"
         # return times have a polynomial tail with exponent 4/3 here, so a
@@ -262,7 +305,7 @@ class TestRecurrenceDiagnostic:
         model = make_crw(0.6, 1.5, 1.5)
         rep = recurrence_diagnostic(
             model, State(50.0, 1), 10.0,
-            cap=20_000, horizon=5_000, n_passage=400, n_paths=100, master_seed=1,
+            cap=20_000, n_passage=400, master_seed=1,
         )
         assert rep.empirical_call == "escaping"
         assert rep.censored_fraction > 0.5
@@ -270,7 +313,7 @@ class TestRecurrenceDiagnostic:
     def test_null_recurrent_call(self):
         rep = recurrence_diagnostic(
             CRW, State(50.0, 1), 10.0,
-            cap=40_000, horizon=5_000, n_passage=500, n_paths=100, master_seed=1,
+            cap=40_000, n_passage=500, master_seed=1,
         )
         assert rep.empirical_call == "returning-with-diverging-mean"
         assert rep.mean_return_ratio > 1.1
