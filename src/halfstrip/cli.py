@@ -9,6 +9,7 @@ reports carry no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -52,9 +53,9 @@ def _load_json(path: str) -> tuple:
             raw = fh.read()
         return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: {path} is not valid JSON: {exc}")
+        raise ValueError(f"{path} is not valid JSON: {exc}")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -101,7 +102,7 @@ def _parse_start(text: str, model) -> State:
         pos_txt, label_txt = text.split(",", 1)
         pos = float(pos_txt)
     except ValueError:
-        raise SystemExit(f"error: --start must look like 'X,LABEL', got {text!r}")
+        raise ValueError(f"--start must look like 'X,LABEL', got {text!r}")
     if not (math.isfinite(pos) and pos >= 0.0):
         raise ValueError(f"--start position must be finite and >= 0, got {pos!r}")
     for label in model.labels:
@@ -113,7 +114,7 @@ def _parse_start(text: str, model) -> State:
         as_int = None
     if as_int is not None and as_int in model.labels:
         return State(pos, as_int)
-    raise SystemExit(f"error: label {label_txt!r} is not one of {list(model.labels)!r}")
+    raise ValueError(f"label {label_txt!r} is not one of {list(model.labels)!r}")
 
 
 def _route(coeffs, tol, refined, centering_tol, p_cap=math.inf):
@@ -239,6 +240,11 @@ def cmd_verify(args) -> int:
     spec, digest = _load_json(args.model)
     model = model_from_spec(spec)
     start = _parse_start(args.start, model) if args.start else State(50.0, model.labels[0])
+    asserted = None
+    if args.coefficients:
+        asserted = AsymptoticCoefficients.from_dict(_load_json(args.coefficients)[0])
+        if set(asserted.labels) != set(model.labels):
+            raise ValueError(f"asserted labels {list(asserted.labels)!r} are not the model's")
     checks = []
 
     report = validate_model(model)
@@ -253,11 +259,7 @@ def cmd_verify(args) -> int:
     )
 
     coeffs = fit_asymptotics(model)
-    if args.coefficients:
-        asserted_spec, _ = _load_json(args.coefficients)
-        asserted = AsymptoticCoefficients.from_dict(asserted_spec)
-        if set(asserted.labels) != set(coeffs.labels):
-            raise ValueError(f"asserted labels {list(asserted.labels)!r} are not the model's")
+    if asserted is not None:
         p = [asserted.labels.index(k) for k in coeffs.labels]  # the model's order
         pp = np.ix_(p, p)
         worst = max(float(np.max(np.abs(mine - fitted))) for mine, fitted in (
@@ -372,7 +374,12 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first :func:`main` call
+    (not at import) and reused: parsing keeps no state between calls. Each
+    subcommand's ``fn`` default is bound here, once, to its ``cmd_*``
+    function."""
     parser = argparse.ArgumentParser(
         prog="halfstrip",
         description=(

@@ -138,8 +138,9 @@ class _StepTables:
         if self.has_pow and len({float(line.delta) for line in lines}) != 1:
             raise ValueError("all lines must share one power-correction exponent")
         self.neg_exp = -1.0 - float(lines[0].delta)
+        self.width = A
         self.uniform_two = A == 2 and bool((counts == 2).all())
-        self.max_choice = counts - 1
+        self.last = np.arange(S) * A + counts - 1  # flat index of each line's last atom
         self.varying = self.has_inv or self.has_pow
         # plain-python rows, one per line and unpadded, for single states
         self.const_list = [line.p_const.tolist() for line in lines]
@@ -177,36 +178,37 @@ class _StepTables:
         return out
 
     def choose(self, x, lab, u):
-        """Vectorized inverse-CDF atom choice; one uniform per row."""
+        """Vectorized inverse-CDF atom choice, one uniform per row. Returns the
+        flat index ``lab * A + atom`` of each row's atom, which ``take`` reads
+        from any of the ``(S, A)`` tables."""
         if self.varying:
             xs = np.maximum(x, self.safe_floor)
             if self.has_pow:
                 xp = np.array([v**self.neg_exp for v in xs.tolist()])
             below = x < self.floor
+        base = lab * self.width
         if self.uniform_two:
             # two atoms per line: only the first atom's probability is needed
-            p0 = self.const[lab, 0]
+            p0 = const0 = self.const.take(base)
             if self.varying:
                 if self.has_inv:
-                    p0 = p0 + self.inv[lab, 0] / xs
+                    p0 = p0 + self.inv.take(base) / xs
                 if self.has_pow:
-                    p0 = p0 + self.pow[lab, 0] * xp
+                    p0 = p0 + self.pow.take(base) * xp
                 if below.any():
-                    p0 = np.where(below, self.const[lab, 0], p0)
-            return (u >= p0).view(np.int8)
-        P = self.const[lab]
+                    p0 = np.where(below, const0, p0)
+            return base + (u >= p0)
+        P = self.const.take(lab, axis=0)
         if self.varying:
             if self.has_inv:
-                P = P + self.inv[lab] / xs[:, None]
+                P = P + self.inv.take(lab, axis=0) / xs[:, None]
             if self.has_pow:
-                P = P + self.pow[lab] * xp[:, None]
+                P = P + self.pow.take(lab, axis=0) * xp[:, None]
             if below.any():
                 P[below] = self.const[lab[below]]
-        elif P.base is not None:
-            P = P.copy()
         np.cumsum(P, axis=1, out=P)
         choice = (u[:, None] >= P).sum(axis=1)
-        return np.minimum(choice, self.max_choice[lab])
+        return np.minimum(base + choice, self.last.take(lab))
 
 
 @dataclass(frozen=True)
@@ -298,11 +300,11 @@ class ChainModel:
         function of the trajectory and makes batching irrelevant to output.
         """
         t = self._tables
-        choice = t.choose(x, lab, u)
-        jump = t.jump[lab, choice]
-        nxt = t.next[lab, choice]
+        atom = t.choose(x, lab, u)
+        jump = t.jump.take(atom)
+        nxt = t.next.take(atom)
         if self.boundary == "reset":
-            resetting = x < t.trigger[lab]
+            resetting = x < t.trigger.take(lab)
             if resetting.any():
                 jump = np.where(resetting, self.reset[0], jump)
                 nxt = np.where(resetting, self.reset[1], nxt)

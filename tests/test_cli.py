@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -71,8 +75,10 @@ class TestAnalyze:
     def test_malformed_json_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
-        with pytest.raises(SystemExit):
-            main(["analyze", "--model", str(bad)])
+        assert main(["analyze", "--model", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_unknown_key_fails(self, tmp_path, capsys):
         spec = write(tmp_path, "bad.json", {**CRW_NULL, "surprise": 1})
@@ -166,6 +172,20 @@ class TestMalformedSpecs:
             "--cap", "100", "--n", "5", "--out", str(out), "--summary", str(tmp_path / "s.json"),
         ])
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "crw.json", "--start", "abc", "--level", "10"],
+        ["simulate", "--model", "crw.json", "--start", "50,7", "--level", "10"],
+        ["simulate", "--model", "nope.json", "--start", "50,1", "--level", "10"],
+        ["analyze", "--model", "truncated.json"],
+        ["verify", "--model", "crw.json", "--coefficients", "nope.json", "--n", "10"],
+    ], ids=["start-not-a-pair", "start-unknown-label", "simulate-missing-model",
+            "analyze-truncated-json", "verify-missing-coefficients"])
+    def test_unreadable_inputs(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "crw.json", CRW_NULL)
+        (tmp_path / "truncated.json").write_text("[1")
+        self.assert_one_line_exit_2(capsys, argv)
 
     def test_fit_grid_point_not_positive(self, tmp_path, capsys):
         spec = write(tmp_path, "crw.json", CRW_NULL)
@@ -347,6 +367,51 @@ class TestVerify:
         assert "PASS lyapunov-ratio-nu-2" in out_text
         header = open(csv_path).readline()
         assert header == "nu,x,label,increment,leading,ratio\n"
+
+
+class TestOneParser:
+    """``main`` builds its parser on the first call and only parses after."""
+
+    CALLS = (
+        ["analyze", "--model", "crw.json", "--refined"],
+        ["analyze", "--model", "crw.json"],
+        ["simulate", "--model", "crw.json", "--start", "30,1", "--level", "5", "--cap", "500",
+         "--n", "50", "--seed", "3", "--out", "a.csv", "--summary", "a.json"],
+        ["simulate", "--model", "crw.json", "--start", "30,1", "--level", "5", "--cap", "500",
+         "--n", "50", "--seed", "3", "--out", "b.csv"],
+    )
+    HELP = (["--help"], ["analyze", "--help"], ["fit", "--help"], ["simulate", "--help"],
+            ["verify", "--help"])
+
+    def help_texts(self, capsys):
+        texts = []
+        for argv in self.HELP:
+            with pytest.raises(SystemExit):
+                main(argv)
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    def test_built_once_and_stateless(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "crw.json", CRW_NULL)
+        halfstrip.cli._build_parser.cache_clear()
+        first_help = self.help_texts(capsys)
+        in_process = []
+        for argv in self.CALLS:
+            assert main(argv) == 0
+            in_process.append(capsys.readouterr().out)
+        assert self.help_texts(capsys) == first_help
+        assert halfstrip.cli._build_parser.cache_info().misses == 1
+
+        files = [(tmp_path / name).read_bytes() for name in ("a.csv", "a.json", "b.csv")]
+        src = str(Path(halfstrip.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, stdout in zip(self.CALLS, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "halfstrip.cli", *argv], cwd=tmp_path,
+                                   env=env, capture_output=True, check=True)
+            assert fresh.stdout == stdout.encode()
+        assert [(tmp_path / name).read_bytes()
+                for name in ("a.csv", "a.json", "b.csv")] == files
 
 
 class TestHelp:

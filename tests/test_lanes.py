@@ -2,7 +2,8 @@
 
 For random tabular models (clip, reflect and reset boundaries, ``inv_x`` and
 ``pow`` terms, an override state) and adversarial positions and uniforms,
-``step_scalar``, ``step_batch`` (on one row and inside a mixed batch) and the
+``step_scalar``, ``step_batch`` (on one row, inside a mixed batch, and inside
+a batch with retired ``+inf`` rows and a strided column of uniforms) and the
 atom that ``distribution`` puts at ``u`` agree bit for bit. The shifted view's
 law is the base law with every jump moved by the offset difference.
 """
@@ -60,12 +61,21 @@ def check_lanes(model, positions, extra_uniforms=()):
     labs = np.array([r[1] for r in rows], dtype=np.int64)
     us = np.array([r[2] for r in rows])
     mixed_x, mixed_lab = model.step_batch(xs, labs, us)
+    # as the sampler steps: u is a strided column of a 2-D block, and rows
+    # retired at +inf sit between live ones
+    block = np.zeros((2 * len(rows), 4))
+    block[::2, 2] = us
+    block[1::2, 2] = us[::-1]
+    strided_x, strided_lab = model.step_batch(
+        np.stack([xs, np.full(len(rows), np.inf)], axis=1).ravel(), np.repeat(labs, 2),
+        block[:, 2])
+    assert (strided_x[1::2] == np.inf).all()
     for k, (x, li, u, atom) in enumerate(rows):
         sx, sl = model.step_scalar(x, li, u)
         bx, bl = model.step_batch(np.array([x]), np.array([li]), np.array([u]))
         where = (x, li, u)
-        assert bits(sx) == bits(bx[0]) == bits(mixed_x[k]), where
-        assert sl == bl[0] == mixed_lab[k], where
+        assert bits(sx) == bits(bx[0]) == bits(mixed_x[k]) == bits(strided_x[2 * k]), where
+        assert sl == bl[0] == mixed_lab[k] == strided_lab[2 * k], where
         assert bits(sx - x) == bits(atom.jump), where
         assert model.labels[sl] == atom.next_label, where
 
