@@ -67,7 +67,7 @@ from .model import (
 from .sim import (
     DiagnosticReport,
     EstimationError,
-    PassageSample,
+    PassageTimes,
     TailEstimate,
     Trajectory,
     empirical_moment,

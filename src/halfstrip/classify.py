@@ -228,22 +228,22 @@ def compute_uv(
     return U, V
 
 
+def centering_tolerance(tol: float) -> float:
+    """Tolerance of the centered linear solve at boundary tolerance ``tol``:
+    ``tol`` itself, floored at 1e-9. Coefficients the regime check accepts as
+    centered at ``tol`` must also be accepted by the solve, otherwise fitted
+    models with genuine o(.) remainders could never be classified."""
+    return max(tol, 1e-9)
+
+
 def classify_generalized(
     coeffs: AsymptoticCoefficients,
     refined: bool = False,
     tol: float = ANALYTIC_TOL,
-    centering_tol: float | None = None,
 ) -> Classification:
-    """Classification for centered constant drift parts with 1/x corrections.
-
-    ``centering_tol`` defaults to the boundary tolerance: coefficients the
-    regime check accepts as centered at ``tol`` must also be accepted by the
-    linear solve, otherwise fitted models with genuine o(.) remainders could
-    never be classified.
-    """
-    if centering_tol is None:
-        centering_tol = max(tol, 1e-9)
-    lc, a = transform_generalized(coeffs, centering_tol=centering_tol)
+    """Classification for centered constant drift parts with 1/x corrections;
+    the centered solve runs at ``centering_tolerance(tol)``."""
+    lc, a = transform_generalized(coeffs, centering_tol=centering_tolerance(tol))
     U, V = compute_uv(coeffs, a)
     if V <= tol:
         raise DegenerateVarianceError(

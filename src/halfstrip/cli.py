@@ -22,6 +22,7 @@ from .classify import (
     ANALYTIC_TOL,
     FITTED_TOL,
     DegenerateVarianceError,
+    centering_tolerance,
     classify_constant,
     classify_generalized,
     moment_threshold,
@@ -117,7 +118,7 @@ def _parse_start(text: str, model) -> State:
     raise ValueError(f"label {label_txt!r} is not one of {list(model.labels)!r}")
 
 
-def _route(coeffs, tol, refined, centering_tol, p_cap=math.inf):
+def _route(coeffs, tol, refined, p_cap=math.inf):
     """coefficients -> regime -> verdict -> moments, for ``analyze`` and ``verify``.
 
     Returns (regime, classification, moments); moments is None in the
@@ -126,11 +127,11 @@ def _route(coeffs, tol, refined, centering_tol, p_cap=math.inf):
     regime = check_regime(coeffs, tol=tol)
     if regime is RegimeTag.CONSTANT_DRIFT:
         return regime, classify_constant(coeffs, tol=tol), None
-    cls = classify_generalized(coeffs, refined=refined, tol=tol, centering_tol=centering_tol)
+    cls = classify_generalized(coeffs, refined=refined, tol=tol)
     return regime, cls, moment_threshold(cls.U, cls.V, p_cap)
 
 
-def _analysis_payload(spec, digest, path, tol, refined, p_cap, centering_tol):
+def _analysis_payload(spec, digest, path, tol, refined, p_cap):
     """spec -> coefficients -> ``_route`` -> JSON report."""
     if isinstance(spec, dict) and spec.get("type") == "coefficients":
         coeffs = AsymptoticCoefficients.from_dict(spec)
@@ -144,10 +145,8 @@ def _analysis_payload(spec, digest, path, tol, refined, p_cap, centering_tol):
         default_tol = FITTED_TOL
         description = model.description
     tol = default_tol if tol is None else tol
-    if centering_tol is None:
-        centering_tol = max(tol, 1e-9)
     refined = refined or coeffs.refined_rates_hold
-    regime, classification, moments = _route(coeffs, tol, refined, centering_tol, p_cap)
+    regime, classification, moments = _route(coeffs, tol, refined, p_cap)
     transform = None
     if classification.transform is not None:
         a = classification.transform[1]
@@ -158,7 +157,7 @@ def _analysis_payload(spec, digest, path, tol, refined, p_cap, centering_tol):
         "input": {"path": path, "sha256": digest, "kind": kind, "description": description},
         "settings": {
             "tol": tol,
-            "centering_tol": centering_tol,
+            "centering_tol": centering_tolerance(tol),
             "refined_rates_hold": refined,
             "p_cap": _nan_to_none(p_cap),
             "fit_grid": list(DEFAULT_GRID) if kind == "model" else None,
@@ -173,9 +172,7 @@ def _analysis_payload(spec, digest, path, tol, refined, p_cap, centering_tol):
 
 def cmd_analyze(args) -> int:
     spec, digest = _load_json(args.model)
-    payload = _analysis_payload(
-        spec, digest, args.model, args.tol, args.refined, args.p_cap, args.centering_tol
-    )
+    payload = _analysis_payload(spec, digest, args.model, args.tol, args.refined, args.p_cap)
     _emit(payload, args.out)
     return 0
 
@@ -198,7 +195,7 @@ def cmd_simulate(args) -> int:
     spec, _ = _load_json(args.model)
     model = model_from_spec(spec)
     start = _parse_start(args.start, model)
-    samples = sample_passage_times(
+    times = sample_passage_times(
         model,
         start,
         level=args.level,
@@ -209,9 +206,9 @@ def cmd_simulate(args) -> int:
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_samples_csv(samples, fh)
+            write_samples_csv(times, fh)
     else:
-        write_samples_csv(samples, sys.stdout)
+        write_samples_csv(times, sys.stdout)
     summary = {
         "tool": {"name": "halfstrip", "version": __version__},
         "n": args.n,
@@ -219,9 +216,7 @@ def cmd_simulate(args) -> int:
         "level": args.level,
         "start": [start.position, str(start.label)],
         "seed": args.seed,
-        "censored_fraction": (
-            sum(s.censored for s in samples) / len(samples) if samples else None
-        ),
+        "censored_fraction": int(times.censored.sum()) / len(times) if len(times) else None,
     }
     if args.summary:
         _emit(summary, args.summary)
@@ -237,6 +232,9 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--n", args.n), ("--cap", args.cap)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     spec, digest = _load_json(args.model)
     model = model_from_spec(spec)
     start = _parse_start(args.start, model) if args.start else State(50.0, model.labels[0])
@@ -275,7 +273,7 @@ def cmd_verify(args) -> int:
         )
 
     tol = FITTED_TOL if args.tol is None else args.tol
-    regime, classification, moments = _route(coeffs, tol, args.refined, None)
+    regime, classification, moments = _route(coeffs, tol, args.refined)
     theta = None if moments is None else moments.theta_star
     print(
         f"INFO analytic verdict: {classification.verdict.value} "
@@ -394,9 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model or coefficients JSON file")
     p.add_argument("--tol", type=float, default=None,
                    help="boundary tolerance (default 1e-4 fitted, 1e-9 for coefficient input)")
-    p.add_argument("--centering-tol", type=float, default=None, dest="centering_tol",
-                   help="tolerance on the pi-weighted mean drift for the centered "
-                        "solve (default: the boundary tolerance, floored at 1e-9)")
     p.add_argument("--refined", action="store_true",
                    help="assert the refined remainder rates (enables the boundary verdict)")
     p.add_argument("--p-cap", type=float, default=math.inf, dest="p_cap",
@@ -419,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=1_000_000)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (at most one per chunk and per CPU)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.add_argument("--summary", default=None, help="write the JSON summary here")
     p.set_defaults(fn=cmd_simulate)
@@ -433,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=200_000)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (at most one per chunk and per CPU)")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--refined", action="store_true")
     p.add_argument("--lyapunov", action="store_true", help="include increment-ratio checks")
@@ -445,17 +442,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_flags(args) -> None:
     """Refuse a NaN, infinite or negative tolerance, a --p-cap that is not
-    positive and a non-finite --level, before any of them can reach a verdict
-    or an output."""
-    for name in ("tol", "centering_tol"):
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value >= 0.0):
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
+    positive, a non-finite --level and --threads below 1, before any of them
+    can reach a verdict or an output."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {tol!r}")
     if not getattr(args, "p_cap", math.inf) > 0.0:
         raise ValueError(f"--p-cap must be > 0, got {args.p_cap!r}")
     if not math.isfinite(getattr(args, "level", 0.0)):
         raise ValueError(f"--level must be finite, got {args.level!r}")
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
 
 def _is_negative_number(text: str) -> bool:

@@ -18,17 +18,18 @@ byte.
 
 Censoring
 ---------
-A passage sample whose trajectory has not dropped to the level within ``cap``
-steps is right-censored: its observed time is the cap and it enters survival
-estimates as a censored observation, never as an event.
+A trajectory that has not dropped to the level within ``cap`` steps is
+right-censored: ``PassageTimes`` stores -1 for its tau, its observed time is
+the cap, and it enters survival estimates as a censored observation, never as
+an event.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -156,10 +157,6 @@ class Trajectory:
     def state(self, n: int) -> State:
         return State(float(self.positions[n]), self.labels[int(self.label_indices[n])])
 
-    @property
-    def states(self) -> list:
-        return [self.state(n) for n in range(len(self))]
-
 
 def simulate(model, start: State, horizon: int, seed: int) -> Trajectory:
     """Sample one trajectory of ``horizon`` steps, bit-reproducible from the seed."""
@@ -216,21 +213,39 @@ def step_frequencies(model, state: State, n_draws: int, seed: int) -> dict:
 # passage times
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PassageSample:
-    """One sampled passage time tau = min{n >= 0 : X_n <= level}.
+@dataclass(frozen=True, eq=False)
+class PassageTimes:
+    """Sampled passage times tau = min{n >= 0 : X_n <= level}, one per
+    trajectory in index order.
 
-    ``tau`` is None when the trajectory was censored at ``cap`` steps;
-    ``steps`` is the number of steps actually simulated (tau, or cap when
-    censored).
+    ``tau`` is a read-only int64 array holding -1 where the trajectory was
+    censored at ``cap`` steps. ``censored`` and ``steps`` (the steps actually
+    simulated: tau, or cap when censored) are derived from it, so the -1
+    format is read here and nowhere else.
     """
 
-    tau: int | None
-    censored: bool
+    tau: np.ndarray
     cap: int
-    start: State
-    level: float
-    steps: int
+
+    def __post_init__(self):
+        tau = np.array(self.tau, dtype=np.int64)
+        tau.flags.writeable = False
+        object.__setattr__(self, "tau", tau)
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PassageTimes) and self.cap == other.cap
+                and np.array_equal(self.tau, other.tau))
+
+    @property
+    def censored(self) -> np.ndarray:
+        return self.tau < 0
+
+    @property
+    def steps(self) -> np.ndarray:
+        return np.where(self.tau < 0, self.cap, self.tau)
 
 
 def _finish_scalar(model, x, li, level, cap, steps, gen, row_tail, width, block):
@@ -330,17 +345,20 @@ def sample_passage_times(
     n: int,
     master_seed: int,
     workers: int = 1,
-) -> list:
-    """n independent passage-time samples from per-trajectory streams.
+) -> PassageTimes:
+    """n independent passage times from per-trajectory streams.
 
     The trajectories are stepped in chunks of at most DEFAULT_BATCH, split
-    evenly over ``workers`` processes. Output is identical for any
-    ``workers``; it only trades memory and processes against speed.
+    evenly over ``workers`` processes; no more processes start than there
+    are chunks or CPUs. Output is identical for any ``workers``; it only
+    trades memory and processes against speed.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     li = model.label_index(start.label)
     pos = float(start.position)
     if not (math.isfinite(pos) and pos >= 0.0):
@@ -349,44 +367,32 @@ def sample_passage_times(
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level!r}")
 
-    size = max(1, min(DEFAULT_BATCH, math.ceil(n / max(workers, 1))))
+    workers = min(workers, os.cpu_count() or 1)
+    size = max(1, min(DEFAULT_BATCH, math.ceil(n / workers)))
     args = [(model, pos, li, level, cap, master_seed, i0, min(size, n - i0), DEFAULT_BLOCK)
             for i0 in range(0, n, size)]
     if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
             chunk_taus = list(pool.map(_passage_worker, args))
     else:
         chunk_taus = [_passage_chunk(*a) for a in args]
-
-    samples = []
-    for tau in (t for chunk in chunk_taus for t in chunk.tolist()):
-        censored = tau < 0
-        samples.append(
-            PassageSample(
-                tau=None if censored else tau,
-                censored=censored,
-                cap=int(cap),
-                start=State(pos, start.label),
-                level=level,
-                steps=int(cap) if censored else tau,
-            )
-        )
-    return samples
+    return PassageTimes(np.concatenate(chunk_taus) if chunk_taus else np.empty(0, np.int64), cap)
 
 
-def write_samples_csv(samples: Sequence[PassageSample], stream) -> None:
+def write_samples_csv(times: PassageTimes, stream) -> None:
     """CSV with header tau,censored,steps; tau is blank for censored rows."""
     stream.write("tau,censored,steps\n")
-    for s in samples:
-        tau_txt = "" if s.censored else str(s.tau)
-        stream.write(f"{tau_txt},{int(s.censored)},{s.steps}\n")
+    stream.writelines(
+        f"{'' if c else t},{int(c)},{s}\n"
+        for t, c, s in zip(times.tau.tolist(), times.censored.tolist(), times.steps.tolist())
+    )
 
 
 # ---------------------------------------------------------------------------
 # moments and tail estimation
 # ---------------------------------------------------------------------------
 
-def empirical_moment(samples: Sequence[PassageSample], s: float):
+def empirical_moment(times: PassageTimes, s: float):
     """(mean of min(tau, cap)^s, lower_bound_flag).
 
     Censored samples contribute cap^s, so with any censoring the estimate is
@@ -394,32 +400,22 @@ def empirical_moment(samples: Sequence[PassageSample], s: float):
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    if not samples:
+    if not len(times):
         raise EstimationError("no samples")
-    steps = np.array([smp.steps for smp in samples], dtype=float)
-    censored = any(smp.censored for smp in samples)
-    return float(np.mean(steps**s)), censored
+    return float(np.mean(times.steps.astype(float) ** s)), bool(times.censored.any())
 
 
 def _km_curve(times: np.ndarray, events: np.ndarray):
     """Kaplan-Meier survival curve; censored observations leave the risk set
     without contributing an event. Returns (event_times, survival_at_them)."""
     order = np.argsort(times, kind="stable")
-    times = times[order]
-    events = events[order]
+    times, events = times[order], events[order]
     uniq, starts = np.unique(times, return_index=True)
-    n = len(times)
-    surv = []
-    s = 1.0
-    for t, i0 in zip(uniq, starts):
-        i1 = np.searchsorted(times, t, side="right")
-        d = int(events[i0:i1].sum())
-        at_risk = n - i0
-        if d:
-            s *= 1.0 - d / at_risk
-        surv.append((float(t), s, d))
-    ev = [(t, s) for t, s, d in surv if d > 0]
-    return np.array([t for t, _ in ev]), np.array([s for _, s in ev])
+    deaths = np.add.reduceat(events.astype(np.int64), starts)
+    hit = deaths > 0
+    # one factor per event time, multiplied in time order (cumprod is sequential)
+    surv = np.cumprod(1.0 - deaths[hit] / (len(times) - starts[hit]))
+    return uniq[hit], surv
 
 
 @dataclass(frozen=True)
@@ -436,7 +432,7 @@ class TailEstimate:
 
 
 def tail_exponent(
-    samples: Sequence[PassageSample],
+    times: PassageTimes,
     method: str = "survival-regression",
     window: tuple = (0.5, 0.99),
     min_uncensored: int = 1000,
@@ -450,16 +446,19 @@ def tail_exponent(
     without contributing events. ``hill`` is the classical order-statistics
     cross-check on the uncensored observations.
     """
-    n = len(samples)
-    uncensored = [smp for smp in samples if not smp.censored]
-    if len(uncensored) < min_uncensored:
+    n = len(times)
+    if not n:
+        raise EstimationError("no samples")
+    events = ~times.censored
+    n_uncensored = int(events.sum())
+    if n_uncensored < min_uncensored:
         raise EstimationError(
-            f"need at least {min_uncensored} uncensored samples, got {len(uncensored)}"
+            f"need at least {min_uncensored} uncensored samples, got {n_uncensored}"
         )
-    censored_fraction = 1.0 - len(uncensored) / n
+    censored_fraction = 1.0 - n_uncensored / n
 
     if method == "hill":
-        xs = np.sort(np.array([float(smp.tau) for smp in uncensored]))[::-1]
+        xs = np.sort(times.tau[events].astype(float))[::-1]
         xs = xs[xs > 0]
         k = hill_k if hill_k is not None else max(10, len(xs) // 20)
         if k + 1 > len(xs):
@@ -476,7 +475,7 @@ def tail_exponent(
             exponent=alpha,
             stderr=alpha / math.sqrt(k),
             n_samples=n,
-            n_uncensored=len(uncensored),
+            n_uncensored=n_uncensored,
             censored_fraction=censored_fraction,
             method="hill",
             power_law_ok=True,
@@ -487,9 +486,7 @@ def tail_exponent(
     if method != "survival-regression":
         raise ValueError(f"unknown method {method!r}")
 
-    times = np.array([float(smp.steps) for smp in samples])
-    events = np.array([not smp.censored for smp in samples], dtype=bool)
-    ev_t, ev_s = _km_curve(times, events)
+    ev_t, ev_s = _km_curve(times.steps.astype(float), events)
     lo_s, hi_s = 1.0 - window[1], 1.0 - window[0]
     keep = (ev_s >= lo_s) & (ev_s <= hi_s) & (ev_t > 0) & (ev_s > 0)
     if keep.sum() < 10:
@@ -525,7 +522,7 @@ def tail_exponent(
         exponent=-slope,
         stderr=stderr,
         n_samples=n,
-        n_uncensored=len(uncensored),
+        n_uncensored=n_uncensored,
         censored_fraction=censored_fraction,
         method="survival-regression",
         power_law_ok=power_law_ok,
@@ -548,7 +545,7 @@ _DIAGNOSTIC_RULE = (
 @dataclass(frozen=True)
 class DiagnosticReport:
     """The diagnostic's statistics and call; ``samples`` holds the passage
-    samples they were computed from, for further estimates on the same draws."""
+    times they were computed from, for further estimates on the same draws."""
 
     start: State
     level: float
@@ -560,7 +557,7 @@ class DiagnosticReport:
     mean_return_ratio: float
     empirical_call: str
     rule: str = _DIAGNOSTIC_RULE
-    samples: tuple = field(default=(), compare=False, repr=False)
+    samples: PassageTimes | None = field(default=None, compare=False, repr=False)
 
 
 def _horizon_chunk(model, start_pos, start_li, snapshots, master_seed, index0, count):
@@ -598,14 +595,16 @@ def recurrence_diagnostic(
     """Empirical recurrence probe: return statistics across nested caps, with a
     documented three-way call.
     """
-    samples = sample_passage_times(
+    if n_passage < 1:
+        raise ValueError(f"n_passage must be >= 1, got {n_passage}")
+    times = sample_passage_times(
         model, start, level, cap, n_passage, master_seed, workers=workers
     )
-    steps = np.array([smp.steps for smp in samples], dtype=float)
-    taus = np.array([-1 if smp.censored else smp.tau for smp in samples], dtype=np.int64)
-    censored_fraction = float(np.mean(taus < 0))
+    steps = times.steps.astype(float)
+    censored = times.censored
+    censored_fraction = float(np.mean(censored))
     caps = [max(cap // 4, 1), max(cap // 2, 1), cap]
-    return_fraction = {c: float(np.mean((taus >= 0) & (taus <= c))) for c in caps}
+    return_fraction = {c: float(np.mean(~censored & (times.tau <= c))) for c in caps}
     mean_return = {c: float(np.mean(np.minimum(steps, c))) for c in caps}
     ratio = mean_return[cap] / mean_return[max(cap // 2, 1)]
 
@@ -626,5 +625,5 @@ def recurrence_diagnostic(
         mean_return_by_cap=mean_return,
         mean_return_ratio=float(ratio),
         empirical_call=call,
-        samples=tuple(samples),
+        samples=times,
     )

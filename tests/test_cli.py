@@ -120,18 +120,13 @@ class TestMalformedSpecs:
             (json.dumps(CRW_NULL), ["--tol", "nan"]),
             (json.dumps(CRW_NULL), ["--tol", "-1"]),
             (json.dumps(CRW_NULL), ["--tol", "inf"]),
-            (json.dumps(CRW_NULL), ["--centering-tol", "nan"]),
-            (json.dumps(CRW_NULL), ["--centering-tol", "-0.5"]),
-            (json.dumps(CRW_NULL), ["--centering-tol", "-1e-9"]),
             (json.dumps(CRW_NULL), ["--tol", "-1e-3"]),
             (json.dumps(CRW_NULL), ["--p-cap", "nan"]),
             (json.dumps(CRW_NULL), ["--p-cap", "0"]),
         ],
         ids=["inf-jump", "inf-jump-refined", "huge-jump", "q-null", "q-list", "top-level-array",
              "tabular-list-labels", "coefficients-list-labels", "tol-nan", "tol-negative",
-             "tol-inf", "centering-tol-nan", "centering-tol-negative",
-             "centering-tol-negative-exponent", "tol-negative-exponent", "p-cap-nan",
-             "p-cap-zero"],
+             "tol-inf", "tol-negative-exponent", "p-cap-nan", "p-cap-zero"],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, text, flags):
         path = tmp_path / "spec.json"
@@ -153,8 +148,12 @@ class TestMalformedSpecs:
         self.assert_one_line_exit_2(capsys, ["verify", "--model", spec, "--tol", "nan"])
 
     @pytest.mark.parametrize("flags", [["--start", "nan,1"], ["--start", "inf,1"],
-                                       ["--level", "nan"]],
-                             ids=["start-nan", "start-inf", "level-nan"])
+                                       ["--level", "nan"], ["--n", "0"], ["--n", "-3"],
+                                       ["--cap", "0"], ["--threads", "0"],
+                                       ["--threads", "-2"]],
+                             ids=["start-nan", "start-inf", "level-nan", "n-zero",
+                                  "n-negative", "cap-zero", "threads-zero",
+                                  "threads-negative"])
     def test_verify_bad_start_or_level_before_any_check(self, tmp_path, capsys, flags):
         spec = write(tmp_path, "crw.json", CRW_NULL)
         report = tmp_path / "report.json"
@@ -170,6 +169,16 @@ class TestMalformedSpecs:
         self.assert_one_line_exit_2(capsys, [
             "simulate", "--model", spec, "--start", start, "--level", level,
             "--cap", "100", "--n", "5", "--out", str(out), "--summary", str(tmp_path / "s.json"),
+        ])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_simulate_threads_below_one(self, tmp_path, capsys, threads):
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        out = tmp_path / "tau.csv"
+        self.assert_one_line_exit_2(capsys, [
+            "simulate", "--model", spec, "--start", "50,1", "--level", "10",
+            "--cap", "100", "--n", "5", "--threads", threads, "--out", str(out),
         ])
         assert not out.exists()
 
@@ -419,6 +428,14 @@ class TestHelp:
         with pytest.raises(SystemExit):
             main(["analyze", "--nonsense"])
 
+    def test_centering_tolerance_is_not_a_flag(self, tmp_path, capsys):
+        # the centered solve's tolerance follows --tol (classify.centering_tolerance)
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--model", spec, "--centering-tol", "1e-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
@@ -429,7 +446,7 @@ class TestHelp:
     @pytest.mark.parametrize(
         "sub,flags",
         [
-            ("analyze", ("--model", "--tol", "--centering-tol", "--refined", "--p-cap", "--out")),
+            ("analyze", ("--model", "--tol", "--refined", "--p-cap", "--out")),
             ("fit", ("--model", "--grid", "--refined", "--out")),
             ("simulate", ("--model", "--start", "--level", "--cap", "--n",
                           "--seed", "--threads", "--out", "--summary")),

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import halfstrip.sim as sim
 from halfstrip import (
     EstimationError,
-    PassageSample,
+    PassageTimes,
     State,
     empirical_moment,
     make_crw,
@@ -35,11 +36,33 @@ REFLECTED = make_tabular({
 
 
 def synthetic_samples(values, cap=10**9):
-    return [
-        PassageSample(tau=int(v), censored=False, cap=cap, start=State(1.0, 0),
-                      level=0.0, steps=int(v))
-        for v in values
-    ]
+    return PassageTimes(np.asarray(values, dtype=np.int64), cap)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for the process pool and starts no process: records each
+    pool's ``max_workers`` and each chunk's (first index, count), and steps
+    the chunks in this process."""
+    record = SimpleNamespace(max_workers=[], chunks=[])
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            record.max_workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            args = list(args)
+            record.chunks.extend((a[6], a[7]) for a in args)
+            return map(fn, args)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
+    return record
 
 
 class TestSimulate:
@@ -111,7 +134,7 @@ class TestStepFrequencies:
 class TestPassageSampling:
     def test_already_below_level(self):
         samples = sample_passage_times(CRW, State(5.0, 1), 10.0, cap=100, n=7, master_seed=1)
-        assert all(s.tau == 0 and not s.censored for s in samples)
+        assert samples.tau.tolist() == [0] * 7 and not samples.censored.any()
 
     def test_reproducible_across_everything(self, monkeypatch):
         base = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9)
@@ -128,48 +151,52 @@ class TestPassageSampling:
                 other = sample_passage_times(
                     CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9, workers=workers
                 )
-            assert [(s.tau, s.censored, s.steps) for s in other] == [
-                (s.tau, s.censored, s.steps) for s in base
-            ]
+            assert other == base
 
-    def test_two_workers_split_a_small_n(self, monkeypatch):
-        chunks = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                assert max_workers == 2
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                args = list(args)
-                chunks.extend((a[6], a[7]) for a in args)  # (first index, count)
-                return map(fn, args)
-
+    def test_two_workers_split_a_small_n(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)  # a 1-CPU host would not split
         serial = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingExecutor)
         split = sample_passage_times(
             CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9, workers=2
         )
-        assert chunks == [(0, 150), (150, 150)]
+        assert inline_pool.max_workers == [2]
+        assert inline_pool.chunks == [(0, 150), (150, 150)]
         assert split == serial
+
+    def test_processes_bounded_by_chunks_and_cpus(self, monkeypatch, inline_pool):
+        serial = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=2000, n=3, master_seed=9)
+        for cpus, workers, n, expected in (
+            (64, 1000, 3, [3]),     # one process per chunk of one
+            (4, 1000, 300, [4]),    # one per CPU
+            (1, 1000, 300, []),     # one CPU: no pool at all
+            (None, 8, 300, []),     # CPU count unknown: taken as 1
+            (8, 2, 300, [2]),
+        ):
+            inline_pool.max_workers.clear()
+            monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+            times = sample_passage_times(
+                CRW, State(30.0, 1), 5.0, cap=2000, n=n, master_seed=9, workers=workers
+            )
+            assert inline_pool.max_workers == expected, (cpus, workers, n)
+            assert len(times) == n
+            if n == 3:
+                assert times == serial
+        with pytest.raises(ValueError, match="workers"):
+            sample_passage_times(CRW, State(30.0, 1), 5.0, cap=2000, n=3, master_seed=9,
+                                 workers=0)
 
     def test_scalar_tail_matches_vector(self, monkeypatch):
         ref = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=50_000, n=40, master_seed=4)
         monkeypatch.setattr(sim, "SCALAR_TAIL", 0)
         vec = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=50_000, n=40, master_seed=4)
-        assert [(s.tau, s.censored) for s in ref] == [(s.tau, s.censored) for s in vec]
+        assert vec == ref
 
     def test_tau_definition_on_replayed_streams(self):
         # tau = min{n : X_n <= level}: replay each trajectory one uniform per
         # step from its own stream and find its first hit independently
         cap = 50_000
         samples = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=cap, n=25, master_seed=2)
-        for k, s in enumerate(samples):
+        for k, tau in enumerate(samples.tau.tolist()):
             u = sim._stream(2, sim._DOMAIN_PASSAGE, k).random(cap)
             x, li, first_hit = 30.0, CRW.label_index(1), None
             for t in range(cap):
@@ -177,8 +204,7 @@ class TestPassageSampling:
                 if x <= 5.0:
                     first_hit = t + 1
                     break
-            assert s.tau == first_hit
-            assert s.censored == (first_hit is None)
+            assert tau == (-1 if first_hit is None else first_hit)
 
     def test_wider_block_replaces_the_old_one(self):
         # the old block and its column view are freed before the wider block
@@ -195,7 +221,39 @@ class TestPassageSampling:
 
     def test_censoring_flags(self):
         samples = sample_passage_times(CRW, State(200.0, 1), 1.0, cap=50, n=20, master_seed=3)
-        assert all(s.censored and s.tau is None and s.steps == 50 for s in samples)
+        assert samples.tau.tolist() == [-1] * 20
+        assert samples.censored.all() and samples.steps.tolist() == [50] * 20
+
+
+class TestPassageTimes:
+    def test_censored_and_steps_follow_from_tau_and_cap(self):
+        times = PassageTimes([0, 7, -1, 3], cap=10)
+        assert times.tau.dtype == np.int64 and not times.tau.flags.writeable
+        assert times.censored.tolist() == [False, False, True, False]
+        assert times.steps.tolist() == [0, 7, 10, 3]
+        with pytest.raises(ValueError):
+            times.tau[0] = 5
+
+    def test_copies_its_input(self):
+        tau = np.array([1, -1, 4])
+        times = PassageTimes(tau, cap=5)
+        tau[0] = 99
+        assert tau.flags.writeable and times.tau.tolist() == [1, -1, 4]
+
+    def test_equality_compares_tau_and_cap(self):
+        a = PassageTimes([1, -1], cap=5)
+        assert a == PassageTimes(np.array([1, -1]), cap=5)
+        assert a != PassageTimes([1, -1], cap=6)
+        assert a != PassageTimes([1, 2], cap=5)
+        assert a != PassageTimes([1, -1, 2], cap=5)
+
+    def test_empty_sample(self):
+        times = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=100, n=0, master_seed=1,
+                                     workers=2)
+        assert len(times) == 0 and times.tau.dtype == np.int64 and times.cap == 100
+        buf = io.StringIO()
+        write_samples_csv(times, buf)
+        assert buf.getvalue() == "tau,censored,steps\n"
 
 
 class TestBulkSeeding:
@@ -233,10 +291,7 @@ class TestEmpiricalMoment:
         assert est == 1.0 and not flag
 
     def test_lower_bound_flag(self):
-        samples = synthetic_samples([4, 4]) + [
-            PassageSample(tau=None, censored=True, cap=10, start=State(1.0, 0),
-                          level=0.0, steps=10)
-        ]
+        samples = synthetic_samples([4, 4, -1], cap=10)
         est, flag = empirical_moment(samples, 1.0)
         assert flag
         assert est == pytest.approx((4 + 4 + 10) / 3)
@@ -268,21 +323,40 @@ class TestTailExponent:
         with pytest.raises(EstimationError):
             tail_exponent(synthetic_samples([3, 4, 5]))
 
+    def test_km_curve_equals_the_loop_reference(self, rng):
+        def km_loop(times, events):
+            order = np.argsort(times, kind="stable")
+            times, events = times[order], events[order]
+            ev_t, ev_s, s = [], [], 1.0
+            for i0, t in enumerate(times):
+                if i0 and times[i0 - 1] == t:
+                    continue
+                d = int(events[i0:np.searchsorted(times, t, side="right")].sum())
+                if d:
+                    s *= 1.0 - d / (len(times) - i0)
+                    ev_t.append(float(t))
+                    ev_s.append(s)
+            return np.array(ev_t), np.array(ev_s)
+
+        for n in (1, 2, 50, 3000):
+            times = np.ceil(rng.random(n) ** -1.5)
+            events = times <= 40.0  # ties and censored times both occur
+            times = np.minimum(times, 40.0)
+            for ev in (events, np.zeros(n, dtype=bool)):
+                got, want = sim._km_curve(times, ev), km_loop(times, ev)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("method", ["survival-regression", "hill"])
+    def test_empty_sample_is_an_estimation_error(self, method):
+        with pytest.raises(EstimationError, match="no samples"):
+            tail_exponent(synthetic_samples([]), method=method, min_uncensored=0)
+
     def test_censored_enter_survival_as_censored(self, rng):
         u = rng.random(30_000)
         taus = np.ceil(u ** (-2.0)).astype(int)
         cap = 2000
-        censored = [
-            PassageSample(
-                tau=int(t) if t <= cap else None,
-                censored=t > cap,
-                cap=cap,
-                start=State(1.0, 0),
-                level=0.0,
-                steps=int(min(t, cap)),
-            )
-            for t in taus
-        ]
+        censored = synthetic_samples(np.where(taus <= cap, taus, -1), cap=cap)
         est = tail_exponent(censored, window=(0.5, 0.995))
         assert est.censored_fraction > 0.01
         assert abs(est.exponent - 0.5) < 0.06
@@ -310,6 +384,11 @@ class TestRecurrenceDiagnostic:
         assert rep.empirical_call == "escaping"
         assert rep.censored_fraction > 0.5
 
+    def test_refuses_an_empty_sample(self):
+        # with no passage times every statistic would be NaN
+        with pytest.raises(ValueError, match="n_passage"):
+            recurrence_diagnostic(CRW, State(50.0, 1), 10.0, cap=100, n_passage=0)
+
     def test_null_recurrent_call(self):
         rep = recurrence_diagnostic(
             CRW, State(50.0, 1), 10.0,
@@ -321,10 +400,7 @@ class TestRecurrenceDiagnostic:
 
 class TestCsv:
     def test_format_and_blank_tau_for_censored(self):
-        samples = synthetic_samples([3]) + [
-            PassageSample(tau=None, censored=True, cap=9, start=State(1.0, 0),
-                          level=0.0, steps=9)
-        ]
+        samples = synthetic_samples([3, -1], cap=9)
         buf = io.StringIO()
         write_samples_csv(samples, buf)
         assert buf.getvalue() == "tau,censored,steps\n3,0,3\n,1,9\n"
