@@ -41,27 +41,27 @@ from .lyapunov import (
 )
 from .markov import (
     NonCenteredError,
-    PoissonSolution,
     ReducibleMatrixError,
-    StationaryDistribution,
-    StochasticMatrix,
     WrongSignError,
     is_irreducible,
+    positive_distribution,
+    require_irreducible,
     solve_poisson,
     solve_strict_drift,
     stationary_distribution,
+    stochastic_matrix,
 )
 from .model import (
     Atom,
     ChainModel,
     IncrementDistribution,
     ModelSpecError,
+    ShiftedChainModel,
     State,
     ValidationReport,
     make_crw,
     make_tabular,
     model_from_spec,
-    shift_model,
     validate_model,
 )
 from .sim import (

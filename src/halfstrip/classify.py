@@ -15,8 +15,8 @@ Three regimes, three entry points:
 
   and U, V can equivalently be computed directly from the raw coefficients.
 
-Coefficients are arrays indexed by label position (see ``drift``), so each of
-these sums is one array expression.
+Coefficients, Q, pi and a are arrays indexed by label position (see ``drift``
+and ``markov``), so each of these sums is one array expression.
 
 The passage-time moment boundary is theta* = (V - U) / (2V): E[tau^s] is
 finite for s < theta* (capped by p/2 when only p moments of the jumps are
@@ -28,17 +28,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
 from .drift import AsymptoticCoefficients, RegimeTag, frozen_array
-from .markov import (
-    PoissonSolution,
-    StationaryDistribution,
-    StochasticMatrix,
-    solve_poisson,
-)
+from .markov import positive_distribution, solve_poisson, stochastic_matrix
 
 ANALYTIC_TOL = 1e-9
 FITTED_TOL = 1e-4
@@ -63,33 +57,36 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LampertiCoefficients:
-    """Per-line drift c_i/x and limiting second moments s2_i, as read-only
-    arrays of shape (S,) indexed by label position."""
+    """Per-line drift c_i/x and limiting second moments s2_i, with the limiting
+    label chain's Q_limit and pi, as read-only arrays indexed by label
+    position (checked as in ``AsymptoticCoefficients``)."""
 
     labels: tuple
     c: np.ndarray
     s2: np.ndarray
-    Q_limit: StochasticMatrix
-    pi: StationaryDistribution
+    Q_limit: np.ndarray
+    pi: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        n = len(self.labels)
         for name in ("c", "s2"):
-            value = frozen_array(getattr(self, name), (len(self.labels),), name)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, frozen_array(getattr(self, name), (n,), name))
+        object.__setattr__(self, "Q_limit", stochastic_matrix(self.Q_limit, n))
+        object.__setattr__(self, "pi", positive_distribution(self.pi, n))
         if self.s2.max() <= 0.0:
             raise DegenerateVarianceError("at least one s2 must be positive")
-        if self.pi.mean(self.s2) <= 0.0:
+        if self.pi @ self.s2 <= 0.0:
             raise DegenerateVarianceError("pi-weighted s2 must be positive")
 
     def uv(self) -> tuple:
-        return self.pi.mean(2.0 * self.c), self.pi.mean(self.s2)
+        return float(self.pi @ (2.0 * self.c)), float(self.pi @ self.s2)
 
 
 @dataclass(frozen=True)
 class Classification:
-    """``transform`` is ``transform_generalized``'s (LampertiCoefficients,
-    PoissonSolution) from the generalized classifier, for reuse; else None."""
+    """``transform`` is ``transform_generalized``'s (LampertiCoefficients, a,
+    residual) from the generalized classifier, for reuse; else None."""
 
     verdict: Verdict
     U: float
@@ -191,40 +188,35 @@ def transform_generalized(
 ) -> tuple:
     """Eliminate the constant drift parts via the centered linear system.
 
-    Returns (LampertiCoefficients, PoissonSolution). The solution a is the
-    min-zero representative, so all a_i >= 0 as the coordinate change
-    requires. Raises NonCenteredError (from the solve) when the pi-weighted
-    mean of d exceeds ``centering_tol``, i.e. the model is in the
-    constant-drift regime. Fitted d carry numerical noise, so the tolerance
+    Returns (LampertiCoefficients, a, residual) with a and residual as from
+    ``solve_poisson``. The solution a is the min-zero representative, so all
+    a_i >= 0 as the coordinate change requires. Raises NonCenteredError (from
+    the solve) when the pi-weighted mean of d exceeds ``centering_tol``, i.e.
+    the model is in the constant-drift regime. Fitted d carry numerical noise, so the tolerance
     is a declared numerical parameter, not part of the classification.
     """
-    a = solve_poisson(coeffs.Q_limit, coeffs.d, tol=centering_tol, pi=coeffs.pi)
-    av = a.values
-    sq = av * av
+    a, residual = solve_poisson(coeffs.Q_limit, coeffs.d, tol=centering_tol, pi=coeffs.pi)
+    sq = a * a
     # row sums as elementwise products: a matrix product would reassociate them
-    c = coeffs.e + (coeffs.gamma * av).sum(axis=1)
+    c = coeffs.e + (coeffs.gamma * a).sum(axis=1)
     s2 = (
         coeffs.t2
-        + 2.0 * (coeffs.d_cross * av).sum(axis=1)
-        + ((sq - sq[:, None]) * coeffs.Q_limit.entries).sum(axis=1)
+        + 2.0 * (coeffs.d_cross * a).sum(axis=1)
+        + ((sq - sq[:, None]) * coeffs.Q_limit).sum(axis=1)
     )
-    return LampertiCoefficients(coeffs.labels, c, s2, coeffs.Q_limit, coeffs.pi), a
+    return LampertiCoefficients(coeffs.labels, c, s2, coeffs.Q_limit, coeffs.pi), a, residual
 
 
-def compute_uv(
-    coeffs: AsymptoticCoefficients, a: PoissonSolution | Sequence[float]
-) -> tuple:
+def compute_uv(coeffs: AsymptoticCoefficients, a: np.ndarray) -> tuple:
     """U and V straight from the raw coefficients and a solution a.
 
     U = sum_i (2 e_i + 2 sum_j a_j gamma_ij) pi_i and
     V = sum_i (t2_i + 2 sum_j a_j d_ij) pi_i. These equal the transformed
     chain's (sum 2 c pi, sum s2 pi): the quadratic (a_j^2 - a_i^2) terms
-    cancel under the stationary average. ``a`` may also be an array by label
-    position.
+    cancel under the stationary average. ``a`` is by label position.
     """
-    av = a.values if isinstance(a, PoissonSolution) else np.asarray(a, dtype=float)
-    U = coeffs.pi.mean(2.0 * coeffs.e + 2.0 * (coeffs.gamma * av).sum(axis=1))
-    V = coeffs.pi.mean(coeffs.t2 + 2.0 * (coeffs.d_cross * av).sum(axis=1))
+    U = float(coeffs.pi @ (2.0 * coeffs.e + 2.0 * (coeffs.gamma * a).sum(axis=1)))
+    V = float(coeffs.pi @ (coeffs.t2 + 2.0 * (coeffs.d_cross * a).sum(axis=1)))
     return U, V
 
 
@@ -243,7 +235,7 @@ def classify_generalized(
 ) -> Classification:
     """Classification for centered constant drift parts with 1/x corrections;
     the centered solve runs at ``centering_tolerance(tol)``."""
-    lc, a = transform_generalized(coeffs, centering_tol=centering_tolerance(tol))
+    lc, a, residual = transform_generalized(coeffs, centering_tol=centering_tolerance(tol))
     U, V = compute_uv(coeffs, a)
     if V <= tol:
         raise DegenerateVarianceError(
@@ -258,9 +250,9 @@ def classify_generalized(
         )
     cls = _decide(
         U, V, refined, tol, RegimeTag.GENERALIZED_LAMPERTI,
-        extra=f"a={a.as_dict()!r} residual={a.residual:.2e}",
+        extra=f"a={dict(zip(coeffs.labels, a.tolist()))!r} residual={residual:.2e}",
     )
-    return replace(cls, transform=(lc, a))
+    return replace(cls, transform=(lc, a, residual))
 
 
 def moment_threshold(U: float, V: float, p_cap: float = math.inf) -> MomentReport:

@@ -36,7 +36,7 @@ from .drift import (
 )
 from .lyapunov import lyapunov_spec, verify_drift_estimate
 from .markov import NonCenteredError
-from .model import ModelSpecError, State, model_from_spec, shift_model, validate_model
+from .model import ModelSpecError, ShiftedChainModel, State, model_from_spec, validate_model
 from .sim import (
     recurrence_diagnostic,
     sample_passage_times,
@@ -149,8 +149,9 @@ def _analysis_payload(spec, digest, path, tol, refined, p_cap):
     regime, classification, moments = _route(coeffs, tol, refined, p_cap)
     transform = None
     if classification.transform is not None:
-        a = classification.transform[1]
-        transform = {"a": {str(k): v for k, v in a.as_dict().items()}, "residual": a.residual}
+        _, a, residual = classification.transform
+        transform = {"a": {str(k): v for k, v in zip(coeffs.labels, a.tolist())},
+                     "residual": residual}
 
     return {
         "tool": {"name": "halfstrip", "version": __version__},
@@ -263,7 +264,7 @@ def cmd_verify(args) -> int:
         worst = max(float(np.max(np.abs(mine - fitted))) for mine, fitted in (
             (asserted.d[p], coeffs.d), (asserted.e[p], coeffs.e), (asserted.t2[p], coeffs.t2),
             (asserted.d_cross[pp], coeffs.d_cross), (asserted.gamma[pp], coeffs.gamma),
-            (asserted.Q_limit.entries[pp], coeffs.Q_limit.entries)))
+            (asserted.Q_limit[pp], coeffs.Q_limit)))
         checks.append(
             _check(
                 "asserted-coefficients",
@@ -332,8 +333,8 @@ def cmd_verify(args) -> int:
 
     lyap_rows = []
     if args.lyapunov and regime is not RegimeTag.CONSTANT_DRIFT:
-        lc, a = classification.transform
-        target = shift_model(model, a.as_dict()) if any(a.values) else model
+        lc, a, _ = classification.transform
+        target = ShiftedChainModel(model, a) if a.any() else model
         for nu in (1.0, 2.0):
             spec_l = lyapunov_spec(nu, {k: 0.0 for k in model.labels})
             ver = verify_drift_estimate(target, lc, spec_l)

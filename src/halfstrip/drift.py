@@ -13,7 +13,8 @@ geometric grid. For kernels that are exactly affine in 1/x the fit is exact
 to rounding; for anything else the scaled residuals say how credible the
 expansion is. Coefficients are arrays indexed by label position: ``d[i]`` is
 the line of ``labels[i]`` and ``gamma[i, j]`` the move from ``labels[i]`` to
-``labels[j]``.
+``labels[j]``; the limiting label chain's ``Q_limit`` and ``pi`` follow the
+same order.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .markov import (
-    StationaryDistribution,
-    StochasticMatrix,
+    positive_distribution,
+    require_irreducible,
     stationary_distribution,
+    stochastic_matrix,
 )
 from .model import parse_labels, parse_number
 
@@ -89,13 +91,14 @@ def point_moments(model, x: float) -> PointMoments:
 class AsymptoticCoefficients:
     """Fitted (or asserted) expansion coefficients of a model's kernel.
 
-    ``d``, ``e``, ``t2`` have shape (S,) and ``d_cross`` (the d_ij), ``gamma``
-    shape (S, S), indexed by label position; they are stored as read-only
-    float arrays. Row identities are enforced at construction: per line, the
-    gamma row sums to 0 and the d_ij row sums to d_i, both within
-    ROW_IDENTITY_TOL; at least one t2 must be positive. ``refined_rates_hold``
-    is a user assertion about the o(x^-delta) refinements that no finite
-    kernel evaluation can certify.
+    ``d``, ``e``, ``t2``, ``pi`` have shape (S,) and ``d_cross`` (the d_ij),
+    ``gamma``, ``Q_limit`` shape (S, S), indexed by label position; they are
+    stored as read-only float arrays, ``Q_limit`` checked row-stochastic and
+    ``pi`` strictly positive and summing to 1. Row identities are enforced at
+    construction: per line, the gamma row sums to 0 and the d_ij row sums to
+    d_i, both within ROW_IDENTITY_TOL; at least one t2 must be positive.
+    ``refined_rates_hold`` is a user assertion about the o(x^-delta)
+    refinements that no finite kernel evaluation can certify.
     """
 
     labels: tuple
@@ -104,8 +107,8 @@ class AsymptoticCoefficients:
     t2: np.ndarray
     d_cross: np.ndarray
     gamma: np.ndarray
-    Q_limit: StochasticMatrix
-    pi: StationaryDistribution
+    Q_limit: np.ndarray
+    pi: np.ndarray
     fit_residuals: dict = field(default_factory=dict)
     warnings: tuple = ()
     refined_rates_hold: bool = False
@@ -117,6 +120,8 @@ class AsymptoticCoefficients:
         for name, shape in (("d", (n,)), ("e", (n,)), ("t2", (n,)),
                             ("d_cross", (n, n)), ("gamma", (n, n))):
             object.__setattr__(self, name, frozen_array(getattr(self, name), shape, name))
+        object.__setattr__(self, "Q_limit", stochastic_matrix(self.Q_limit, n))
+        object.__setattr__(self, "pi", positive_distribution(self.pi, n))
         if self.t2.max() <= 0.0:
             raise ValueError("at least one t2 must be positive")
         gaps = np.abs(self.gamma.sum(axis=1))
@@ -131,7 +136,7 @@ class AsymptoticCoefficients:
             )
 
     def pi_weighted_d(self) -> float:
-        return self.pi.mean(self.d)
+        return float(self.pi @ self.d)
 
     def to_dict(self) -> dict:
         return {
@@ -142,8 +147,8 @@ class AsymptoticCoefficients:
             "t2": self.t2.tolist(),
             "d_cross": self.d_cross.tolist(),
             "gamma": self.gamma.tolist(),
-            "Q": self.Q_limit.entries.tolist(),
-            "pi": self.pi.weights.tolist(),
+            "Q": self.Q_limit.tolist(),
+            "pi": self.pi.tolist(),
             "fit_residuals": dict(self.fit_residuals),
             "warnings": list(self.warnings),
             "refined_rates_hold": self.refined_rates_hold,
@@ -175,10 +180,11 @@ class AsymptoticCoefficients:
                 raise ValueError(f"coefficients spec: {name} must be {n}x{n}")
             return [vec(name, row) for row in rows]
 
-        Q = StochasticMatrix(labels, mat("Q"))
+        Q = stochastic_matrix(mat("Q"), n)
+        require_irreducible(Q)
         if "pi" in data:
-            pi = StationaryDistribution(labels, vec("pi", data["pi"]))
-            defect = float(np.max(np.abs(pi.weights @ Q.entries - pi.weights)))
+            pi = positive_distribution(vec("pi", data["pi"]), n)
+            defect = float(np.max(np.abs(pi @ Q - pi)))
             if defect > 1e-8:
                 raise ValueError(
                     f"coefficients spec: supplied pi is not stationary for Q "
@@ -187,9 +193,16 @@ class AsymptoticCoefficients:
         else:
             pi = stationary_distribution(Q)
         fit_residuals = data.get("fit_residuals", {})
+        if not isinstance(fit_residuals, dict):
+            raise ValueError("coefficients spec: fit_residuals must be an object")
+        for name, value in fit_residuals.items():
+            parse_number(value, f"coefficients spec: fit_residuals {name!r:.40}")
         warnings = data.get("warnings", [])
-        if not isinstance(fit_residuals, dict) or not isinstance(warnings, list):
-            raise ValueError("coefficients spec: fit_residuals must be an object, warnings a list")
+        if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+            raise ValueError("coefficients spec: warnings must be a list of strings")
+        refined = data.get("refined_rates_hold", False)
+        if not isinstance(refined, bool):
+            raise ValueError("coefficients spec: refined_rates_hold must be true or false")
         return cls(
             labels=labels,
             d=vec("d", data["d"]),
@@ -201,7 +214,7 @@ class AsymptoticCoefficients:
             pi=pi,
             fit_residuals=dict(fit_residuals),
             warnings=tuple(warnings),
-            refined_rates_hold=bool(data.get("refined_rates_hold", False)),
+            refined_rates_hold=refined,
         )
 
 
@@ -266,8 +279,7 @@ def fit_asymptotics(
         )
     raw_q = np.clip(raw_q, 0.0, None)
     raw_q /= raw_q.sum(axis=1, keepdims=True)
-    Q_limit = StochasticMatrix(labels, raw_q)
-    pi = stationary_distribution(Q_limit)
+    pi = stationary_distribution(raw_q)
     # t2 must not be pushed negative by rounding on exact-variance kernels
     t2 = np.where((t2 < 0.0) & (np.abs(t2) < 1e-12), 0.0, t2)
 
@@ -278,7 +290,7 @@ def fit_asymptotics(
         t2=t2,
         d_cross=d_cross,
         gamma=gamma,
-        Q_limit=Q_limit,
+        Q_limit=raw_q,
         pi=pi,
         fit_residuals=residuals,
         warnings=tuple(warnings),

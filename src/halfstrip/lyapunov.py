@@ -69,9 +69,11 @@ def choose_b(lc: LampertiCoefficients, nu: float, direction: str) -> dict:
 
     Requires the pi-weighted mean of u_i = 2 c_i + (nu-1) s2_i to carry the
     requested sign; at the critical exponent nu = 2 theta* that mean is
-    exactly zero and no such b exists.
+    exactly zero and no such b exists. The result is keyed by label, as
+    ``LyapunovSpec.b`` is.
     """
-    return solve_strict_drift(lc.Q_limit, 2.0 * lc.c + (nu - 1.0) * lc.s2, direction, pi=lc.pi)
+    b = solve_strict_drift(lc.Q_limit, 2.0 * lc.c + (nu - 1.0) * lc.s2, direction, pi=lc.pi)
+    return dict(zip(lc.labels, b.tolist()))
 
 
 def expected_f_increment(model, spec: LyapunovSpec, state) -> float:
@@ -92,7 +94,7 @@ def bracket(lc: LampertiCoefficients, spec: LyapunovSpec) -> np.ndarray:
     return (
         2.0 * lc.c
         + (spec.nu - 1.0) * lc.s2
-        + ((b - b[:, None]) * lc.Q_limit.entries).sum(axis=1)
+        + ((b - b[:, None]) * lc.Q_limit).sum(axis=1)
     )
 
 

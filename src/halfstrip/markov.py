@@ -1,27 +1,24 @@
 """Linear algebra on the limiting label chain.
 
-Everything here operates on a finite, irreducible, row-stochastic matrix Q
-over an ordered label set: the stationary distribution pi, the centered
+Everything here operates on a finite, irreducible, row-stochastic matrix Q,
+a read-only (S, S) float array indexed by label position like the
+coefficient arrays of ``drift``: the stationary distribution pi, the centered
 linear system
 
     d_i + sum_j (a_j - a_i) q_ij = 0,
 
 whose solution (unique up to adding a constant) drives the drift-eliminating
 change of coordinates, and the strict-inequality variant used to tune
-Lyapunov corrections.
+Lyapunov corrections. pi, a and b are read-only (S,) arrays in the same
+order; the labels themselves live on the model and the coefficients.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
 CENTERING_TOL = 1e-9
-
-Label = int | str
 
 
 class ReducibleMatrixError(ValueError):
@@ -38,126 +35,42 @@ class WrongSignError(ValueError):
     construction requires."""
 
 
-def _as_vector(values: Mapping[Label, float] | Sequence[float], labels: tuple) -> np.ndarray:
-    """Coerce a label-keyed mapping (or an aligned sequence) to a float vector."""
-    if isinstance(values, Mapping):
-        missing = [k for k in labels if k not in values]
-        if missing:
-            raise KeyError(f"missing labels {missing!r}")
-        return np.array([float(values[k]) for k in labels])
-    vec = np.asarray(values, dtype=float)
-    if vec.shape != (len(labels),):
-        raise ValueError(f"expected {len(labels)} entries, got shape {vec.shape}")
-    return vec
-
-
-@dataclass(frozen=True)
-class StochasticMatrix:
-    """Row-stochastic matrix with rows/columns indexed by an ordered label set.
-
-    Row sums must equal 1 within ROW_SUM_TOL and entries must be
-    non-negative. Irreducibility is *not* enforced at construction (use
+def stochastic_matrix(entries, n: int) -> np.ndarray:
+    """``entries`` as a read-only (n, n) float array, checked row-stochastic:
+    no entry below -1e-15 (rounding above it is clipped to 0) and every row
+    sum within ROW_SUM_TOL of 1. Irreducibility is *not* enforced (use
     :func:`is_irreducible`); operations that require it check it themselves.
     """
-
-    labels: tuple
-    entries: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        if len(labels) == 0:
-            raise ValueError("label set must be non-empty")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels")
-        entries = np.array(self.entries, dtype=float)
-        n = len(labels)
-        if entries.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got shape {entries.shape}")
-        if entries.min() < -1e-15:
-            raise ValueError(f"negative entry {entries.min()!r}")
-        entries = np.clip(entries, 0.0, None)
-        row_err = np.max(np.abs(entries.sum(axis=1) - 1.0))
-        if row_err > ROW_SUM_TOL:
-            raise ValueError(f"rows must sum to 1 (max defect {row_err:.3e})")
-        entries.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def index(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown label {label!r}") from None
-
-    def prob(self, i, j) -> float:
-        return float(self.entries[self.index(i), self.index(j)])
+    Q = np.array(entries, dtype=float)
+    if Q.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got shape {Q.shape}")
+    if Q.min() < -1e-15:
+        raise ValueError(f"negative entry {Q.min()!r}")
+    Q = np.clip(Q, 0.0, None)
+    row_err = np.max(np.abs(Q.sum(axis=1) - 1.0))
+    if row_err > ROW_SUM_TOL:
+        raise ValueError(f"rows must sum to 1 (max defect {row_err:.3e})")
+    Q.flags.writeable = False
+    return Q
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Strictly positive probability vector pi with pi Q = pi."""
-
-    labels: tuple
-    weights: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        weights = np.array(self.weights, dtype=float)
-        if weights.shape != (len(labels),):
-            raise ValueError("weights must align with labels")
-        if weights.min() <= 0.0:
-            raise ValueError("stationary weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError("stationary weights must sum to 1")
-        weights.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
-
-    def __getitem__(self, label) -> float:
-        return float(self.weights[self.labels.index(label)])
-
-    def as_dict(self) -> dict:
-        return {k: float(w) for k, w in zip(self.labels, self.weights)}
-
-    def mean(self, values: Mapping[Label, float] | Sequence[float]) -> float:
-        """pi-weighted average of a per-label quantity."""
-        return float(self.weights @ _as_vector(values, self.labels))
+def positive_distribution(weights, n: int) -> np.ndarray:
+    """``weights`` as a read-only (n,) float array of strictly positive
+    weights summing to 1 within ROW_SUM_TOL, the form of a stationary pi."""
+    pi = np.array(weights, dtype=float)
+    if pi.shape != (n,):
+        raise ValueError(f"expected {n} stationary weights, got shape {pi.shape}")
+    if pi.min() <= 0.0:
+        raise ValueError("stationary weights must be strictly positive")
+    if abs(pi.sum() - 1.0) > ROW_SUM_TOL:
+        raise ValueError("stationary weights must sum to 1")
+    pi.flags.writeable = False
+    return pi
 
 
-@dataclass(frozen=True)
-class PoissonSolution:
-    """Solution a of d + (Q - I) a = 0, shifted so that min_i a_i = 0.
-
-    ``residual`` is the worst row defect max_i |d_i + sum_j (a_j - a_i) q_ij|.
-    """
-
-    labels: tuple
-    values: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        values = np.array(self.values, dtype=float)
-        if values.shape != (len(labels),):
-            raise ValueError("values must align with labels")
-        values.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
-
-    def __getitem__(self, label) -> float:
-        return float(self.values[self.labels.index(label)])
-
-    def as_dict(self) -> dict:
-        return {k: float(v) for k, v in zip(self.labels, self.values)}
-
-
-def is_irreducible(matrix: StochasticMatrix, support_tol: float = 1e-12) -> bool:
+def is_irreducible(Q: np.ndarray, support_tol: float = 1e-12) -> bool:
     """True iff the digraph of entries > support_tol is strongly connected."""
-    adj = matrix.entries > support_tol
+    adj = Q > support_tol
 
     def reachable(a: np.ndarray) -> np.ndarray:
         seen = np.zeros(a.shape[0], dtype=bool)
@@ -172,37 +85,46 @@ def is_irreducible(matrix: StochasticMatrix, support_tol: float = 1e-12) -> bool
     return bool(reachable(adj).all() and reachable(adj.T).all())
 
 
-def stationary_distribution(matrix: StochasticMatrix) -> StationaryDistribution:
-    """Unique stationary distribution of an irreducible stochastic matrix.
+def require_irreducible(Q: np.ndarray) -> None:
+    """Raise :class:`ReducibleMatrixError` unless Q is irreducible."""
+    if not is_irreducible(Q):
+        raise ReducibleMatrixError("matrix is reducible; no unique stationary distribution")
+
+
+def stationary_distribution(Q: np.ndarray) -> np.ndarray:
+    """Unique stationary distribution pi of an irreducible stochastic matrix.
 
     Solves the singular system (Q^T - I) pi = 0 directly, with one equation
     replaced by the normalization sum_i pi_i = 1. No iteration is involved;
     the power-iteration route exists only as a test oracle.
     """
-    if not is_irreducible(matrix):
-        raise ReducibleMatrixError("matrix is reducible; no unique stationary distribution")
-    n = matrix.size
-    system = matrix.entries.T - np.eye(n)
+    require_irreducible(Q)
+    n = len(Q)
+    system = Q.T - np.eye(n)
     system[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    weights = np.linalg.solve(system, rhs)
-    if weights.min() <= 0.0:
+    pi = np.linalg.solve(system, rhs)
+    if pi.min() <= 0.0:
         raise ArithmeticError("solver returned a non-positive stationary weight")
-    weights /= weights.sum()
-    defect = float(np.max(np.abs(weights @ matrix.entries - weights)))
+    pi /= pi.sum()
+    defect = float(np.max(np.abs(pi @ Q - pi)))
     if defect > 1e-10:
         raise ArithmeticError(f"stationary defect {defect:.3e} exceeds 1e-10")
-    return StationaryDistribution(matrix.labels, weights)
+    pi.flags.writeable = False
+    return pi
 
 
 def solve_poisson(
-    matrix: StochasticMatrix,
-    d: Mapping[Label, float] | Sequence[float],
+    Q: np.ndarray,
+    d,
     tol: float = CENTERING_TOL,
-    pi: StationaryDistribution | None = None,
-) -> PoissonSolution:
+    pi: np.ndarray | None = None,
+) -> tuple:
     """Solve d + (Q - I) a = 0 for the representative with min_i a_i = 0.
+
+    Returns ``(a, residual)``: ``a`` a read-only array by label position and
+    ``residual`` the worst row defect max_i |d_i + sum_j (a_j - a_i) q_ij|.
 
     Solvability requires sum_i pi_i d_i = 0; inputs whose pi-weighted mean
     exceeds ``tol`` in absolute value raise :class:`NonCenteredError` (the
@@ -213,33 +135,34 @@ def solve_poisson(
     min-zero representative.
     """
     if pi is None:
-        pi = stationary_distribution(matrix)
-    dvec = _as_vector(d, matrix.labels)
-    mean = float(pi.weights @ dvec)
+        pi = stationary_distribution(Q)
+    d = np.asarray(d, dtype=float)
+    mean = float(pi @ d)
     if abs(mean) > tol:
         raise NonCenteredError(
             f"pi-weighted mean of d is {mean:.6e} (tolerance {tol:.1e}); "
             "the centered system is not solvable"
         )
-    n = matrix.size
-    pinned = int(np.argmax(pi.weights))
-    system = matrix.entries - np.eye(n)
+    n = len(Q)
+    pinned = int(np.argmax(pi))
+    system = Q - np.eye(n)
     system[pinned, :] = 0.0
     system[pinned, pinned] = 1.0
-    rhs = -dvec.copy()
+    rhs = -d
     rhs[pinned] = 0.0
     a = np.linalg.solve(system, rhs)
     a -= a.min()
-    residual = float(np.max(np.abs(dvec + matrix.entries @ a - a)))
-    return PoissonSolution(matrix.labels, a, residual)
+    residual = float(np.max(np.abs(d + Q @ a - a)))
+    a.flags.writeable = False
+    return a, residual
 
 
 def solve_strict_drift(
-    matrix: StochasticMatrix,
-    u: Mapping[Label, float] | Sequence[float],
+    Q: np.ndarray,
+    u,
     direction: str,
-    pi: StationaryDistribution | None = None,
-) -> dict:
+    pi: np.ndarray | None = None,
+) -> np.ndarray:
     """Find b with u_i + sum_j (b_j - b_i) q_ij < 0 for every i (direction
     ``"negative"``), or > 0 for every i (``"positive"``).
 
@@ -250,22 +173,21 @@ def solve_strict_drift(
     if direction not in ("negative", "positive"):
         raise ValueError("direction must be 'negative' or 'positive'")
     if pi is None:
-        pi = stationary_distribution(matrix)
-    uvec = _as_vector(u, matrix.labels)
-    mean = float(pi.weights @ uvec)
+        pi = stationary_distribution(Q)
+    u = np.asarray(u, dtype=float)
+    mean = float(pi @ u)
     if direction == "negative" and not mean < 0.0:
         raise WrongSignError(f"need sum pi_i u_i < 0, got {mean:.6e}")
     if direction == "positive" and not mean > 0.0:
         raise WrongSignError(f"need sum pi_i u_i > 0, got {mean:.6e}")
     eps = abs(mean)
-    eps_vec = eps / (matrix.size * pi.weights)
+    eps_vec = eps / (len(Q) * pi)
     shift = eps_vec if direction == "negative" else -eps_vec
-    scale = max(1.0, float(np.max(np.abs(uvec))))
-    solution = solve_poisson(matrix, uvec + shift, tol=1e-9 * scale, pi=pi)
-    b = solution.values
-    slack = uvec + matrix.entries @ b - b
+    scale = max(1.0, float(np.max(np.abs(u))))
+    b, _ = solve_poisson(Q, u + shift, tol=1e-9 * scale, pi=pi)
+    slack = u + Q @ b - b
     if direction == "negative" and not np.all(slack < 0.0):
         raise ArithmeticError(f"strict inequality not achieved: slack {slack}")
     if direction == "positive" and not np.all(slack > 0.0):
         raise ArithmeticError(f"strict inequality not achieved: slack {slack}")
-    return {k: float(v) for k, v in zip(matrix.labels, b)}
+    return b

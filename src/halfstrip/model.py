@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .markov import StochasticMatrix, is_irreducible
+from .markov import is_irreducible, stochastic_matrix
 
 PROB_SUM_TOL = 1e-12
 RENORM_TOL = 1e-9
@@ -333,7 +333,8 @@ class ChainModel:
 
 @dataclass(frozen=True)
 class ShiftedChainModel:
-    """View of a base model under the per-label translation x -> x + offset[label].
+    """View of a base model under the per-label translation x -> x + offset[label],
+    with ``offsets`` a non-negative array by label position.
 
     The shifted chain at (y, i) behaves as the base chain at (y - offset_i, i)
     with every jump adjusted by offset_next - offset_current, so trajectories
@@ -381,12 +382,6 @@ class ShiftedChainModel:
             for a in base_dist.atoms
         )
         return IncrementDistribution(atoms)
-
-
-def shift_model(model: ChainModel, offsets: Mapping[Label, float]) -> ShiftedChainModel:
-    """Translate each line by a non-negative per-label offset."""
-    off = np.array([float(offsets[k]) for k in model.labels])
-    return ShiftedChainModel(model, off)
 
 
 # --------------------------------------------------------------------------
@@ -761,7 +756,7 @@ class ValidationReport:
     max_prob_sum_defect: float
     landings_ok: bool
     min_landing: float
-    q_limit: StochasticMatrix | None
+    q_limit: np.ndarray | None   # (S, S), by label position
     irreducible: bool
     p: float
     cp_witness: float
@@ -827,7 +822,7 @@ def validate_model(model, grid: Sequence[float] | None = None, p: float = 4.0) -
         sums = raw.sum(axis=1)
         if sums.min() > 0.5:
             try:
-                q_limit = StochasticMatrix(model.labels, raw / sums[:, None])
+                q_limit = stochastic_matrix(raw / sums[:, None], n)
                 irreducible = is_irreducible(q_limit, support_tol=1e-9)
             except ValueError as exc:
                 failures.append(f"limiting matrix: {exc}")

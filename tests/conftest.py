@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from halfstrip import AsymptoticCoefficients, StochasticMatrix, stationary_distribution
+from halfstrip import AsymptoticCoefficients, stationary_distribution, stochastic_matrix
 
 
 def random_irreducible(rng, n):
     """Strictly positive random stochastic matrix (hence irreducible)."""
     entries = rng.random((n, n)) + 0.05
     entries /= entries.sum(axis=1, keepdims=True)
-    return StochasticMatrix(tuple(range(n)), entries)
+    return stochastic_matrix(entries, n)
 
 
 def centered_vector(rng, pi, scale=1.0):
-    raw = rng.normal(size=len(pi.weights)) * scale
-    return raw - float(pi.weights @ raw)
+    raw = rng.normal(size=len(pi)) * scale
+    return raw - float(pi @ raw)
 
 
 def random_generalized_coefficients(rng, max_labels=5):
@@ -45,7 +45,7 @@ def random_generalized_coefficients(rng, max_labels=5):
         )
         from halfstrip import compute_uv, solve_poisson
 
-        a = solve_poisson(Q, coeffs.d, pi=pi)
+        a, _ = solve_poisson(Q, coeffs.d, pi=pi)
         _, V = compute_uv(coeffs, a)
         if V > 0.05:
             return coeffs

@@ -13,6 +13,7 @@ import pytest
 
 from halfstrip import (
     PassageTimes,
+    ShiftedChainModel,
     State,
     Verdict,
     classify_generalized,
@@ -24,7 +25,6 @@ from halfstrip import (
     make_crw,
     make_tabular,
     sample_passage_times,
-    shift_model,
     solve_poisson,
     stationary_distribution,
     tail_exponent,
@@ -92,11 +92,11 @@ def test_criterion_1_phase_diagram():
 def test_criterion_2_golden_numbers():
     t0 = time.perf_counter()
     coeffs = fit_asymptotics(make_crw(0.6, 0.2, 0.2))
-    assert coeffs.pi[1] == pytest.approx(0.5, abs=1e-10)
-    assert coeffs.pi[-1] == pytest.approx(0.5, abs=1e-10)
-    lc, a = transform_generalized(coeffs)
-    assert a[1] == pytest.approx(0.5, abs=1e-10)    # (2q-1)/(1-q) at q=0.6
-    assert a[-1] == pytest.approx(0.0, abs=1e-10)
+    assert coeffs.labels == (1, -1)
+    assert coeffs.pi.tolist() == pytest.approx([0.5, 0.5], abs=1e-10)
+    lc, a, _ = transform_generalized(coeffs)
+    assert a[0] == pytest.approx(0.5, abs=1e-10)    # (2q-1)/(1-q) at q=0.6
+    assert a[1] == pytest.approx(0.0, abs=1e-10)
     U, V = compute_uv(coeffs, a)
     assert U == pytest.approx(0.5, abs=1e-10)       # (c_+ + c_-)/(2(1-q))
     assert V == pytest.approx(1.5, abs=1e-10)       # q/(1-q)
@@ -108,11 +108,11 @@ def test_criterion_2_golden_numbers():
 def test_criterion_3_translation_invariance_and_residuals():
     t0 = time.perf_counter()
     coeffs = fit_asymptotics(make_crw(0.6, 0.2, 0.2))
-    _, a = transform_generalized(coeffs)
+    _, a, _ = transform_generalized(coeffs)
     U0, V0 = compute_uv(coeffs, a)
     rng = np.random.default_rng(SEED)
     for shift in rng.uniform(-50, 50, size=20):
-        U, V = compute_uv(coeffs, a.values + shift)
+        U, V = compute_uv(coeffs, a + shift)
         assert abs(U - U0) <= 1e-10
         assert abs(V - V0) <= 1e-10
     worst = 0.0
@@ -120,8 +120,8 @@ def test_criterion_3_translation_invariance_and_residuals():
         n = int(rng.integers(2, 7))
         Q = random_irreducible(rng, n)
         pi = stationary_distribution(Q)
-        sol = solve_poisson(Q, centered_vector(rng, pi), pi=pi)
-        worst = max(worst, sol.residual)
+        _, residual = solve_poisson(Q, centered_vector(rng, pi), pi=pi)
+        worst = max(worst, residual)
     assert worst <= 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -133,7 +133,7 @@ def test_criterion_4_transform_direct_consistency():
     rng = np.random.default_rng(SEED + 4)
     for _ in range(200):
         coeffs = random_generalized_coefficients(rng)
-        lc, a = transform_generalized(coeffs)
+        lc, _, _ = transform_generalized(coeffs)
         direct = classify_generalized(coeffs, refined=True)
         via = classify_lamperti(lc, refined=True)
         assert direct.verdict is via.verdict
@@ -223,8 +223,8 @@ def test_criterion_7_positive_recurrent_endpoint():
 def test_criterion_8_increment_estimate_ratios():
     t0 = time.perf_counter()
     model = make_crw(0.6, 0.2, 0.2)
-    lc, a = transform_generalized(fit_asymptotics(model))
-    shifted = shift_model(model, a.as_dict())
+    lc, a, _ = transform_generalized(fit_asymptotics(model))
+    shifted = ShiftedChainModel(model, a)
     details = []
     for nu, b in (
         (2.0 / 3.0, {1: 1.0, -1: 0.0}),   # constant b has zero bracket at 2*theta*

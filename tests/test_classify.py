@@ -5,7 +5,6 @@ from halfstrip import (
     DegenerateVarianceError,
     LampertiCoefficients,
     NonCenteredError,
-    StochasticMatrix,
     Verdict,
     WrongRegimeError,
     classify_constant,
@@ -16,21 +15,21 @@ from halfstrip import (
     make_crw,
     moment_threshold,
     stationary_distribution,
+    stochastic_matrix,
     transform_generalized,
 )
 from conftest import random_generalized_coefficients
 
 CRW_COEFFS = fit_asymptotics(make_crw(0.6, 0.2, 0.2))
 
-SINGLE = StochasticMatrix((0,), [[1.0]])
-SYM = StochasticMatrix((1, -1), [[0.6, 0.4], [0.4, 0.6]])
+SINGLE = stochastic_matrix([[1.0]], 1)
+SYM = stochastic_matrix([[0.6, 0.4], [0.4, 0.6]], 2)
 PI_SINGLE = stationary_distribution(SINGLE)
 PI_SYM = stationary_distribution(SYM)
 
 
 def lamperti(c, s2, Q=SYM, pi=PI_SYM):
-    labels = Q.labels
-    return LampertiCoefficients(labels, c, s2, Q, pi)
+    return LampertiCoefficients((1, -1), c, s2, Q, pi)
 
 
 class TestClassifyConstant:
@@ -40,7 +39,7 @@ class TestClassifyConstant:
         assert cls.verdict is Verdict.TRANSIENT
 
     def test_weighted_negative_mean(self):
-        Q = StochasticMatrix((0, 1), [[0.75, 0.25], [0.5, 0.5]])  # pi = (2/3, 1/3)
+        Q = stochastic_matrix([[0.75, 0.25], [0.5, 0.5]], 2)  # pi = (2/3, 1/3)
         pi = stationary_distribution(Q)
         co = _generic_coeffs(Q, pi, d=(-1.0, 1.0))
         cls = classify_constant(co)
@@ -83,21 +82,43 @@ class TestClassifyLamperti:
         with pytest.raises(DegenerateVarianceError):
             LampertiCoefficients((0,), [0.0], [0.0], SINGLE, PI_SINGLE)
 
+    @pytest.mark.parametrize("Q,pi,match", [
+        ([[0.7, 0.2], [0.4, 0.6]], [0.5, 0.5], "sum to 1"),
+        ([[1.2, -0.2], [0.4, 0.6]], [0.5, 0.5], "negative"),
+        ([[1.0]], [1.0], "2x2"),
+        (SYM, [1.0, 0.0], "strictly positive"),
+        (SYM, [0.6, 0.6], "sum to 1"),
+    ])
+    def test_checks_the_label_chain(self, Q, pi, match):
+        with pytest.raises(ValueError, match=match):
+            LampertiCoefficients((1, -1), [0.0, 0.0], [1.0, 1.0], Q, pi)
+
+    def test_arrays_are_read_only_copies(self):
+        Q = np.array([[0.6, 0.4], [0.4, 0.6]])
+        lc = LampertiCoefficients((1, -1), [0.0, 0.0], [1.0, 1.0], Q, [0.5, 0.5])
+        Q[0, 0] = 0.0
+        assert lc.Q_limit[0, 0] == 0.6
+        for name in ("c", "s2", "Q_limit", "pi"):
+            assert not getattr(lc, name).flags.writeable, name
+
 
 class TestTransform:
     def test_crw_transformed_coefficients(self):
-        lc, a = transform_generalized(CRW_COEFFS)
-        assert a[1] == pytest.approx(0.5, abs=1e-10)
-        assert a[-1] == pytest.approx(0.0, abs=1e-12)
+        lc, a, residual = transform_generalized(CRW_COEFFS)
+        assert CRW_COEFFS.labels == (1, -1)
+        assert a[0] == pytest.approx(0.5, abs=1e-10)
+        assert a[1] == pytest.approx(0.0, abs=1e-12)
+        assert residual <= 1e-10
+        assert not a.flags.writeable
         assert lc.c.tolist() == pytest.approx([0.25, 0.25], abs=1e-10)
         assert lc.s2.tolist() == pytest.approx([1.5, 1.5], abs=1e-10)
         # pi-weighted transformed variance equals q/(1-q)
-        assert lc.pi.mean(lc.s2) == pytest.approx(1.5, abs=1e-10)
+        assert lc.pi @ lc.s2 == pytest.approx(1.5, abs=1e-10)
 
     def test_lamperti_input_degenerates_to_identity(self):
         co = fit_asymptotics(make_crw(0.5, 0.2, 0.3))
-        lc, a = transform_generalized(co)
-        assert np.allclose(a.values, 0.0, atol=1e-10)
+        lc, a, _ = transform_generalized(co)
+        assert np.allclose(a, 0.0, atol=1e-10)
         assert np.allclose(lc.c, co.e, atol=1e-9)
         assert np.allclose(lc.s2, co.t2, atol=1e-9)
 
@@ -109,15 +130,15 @@ class TestTransform:
 
 class TestComputeUV:
     def test_crw_values(self):
-        _, a = transform_generalized(CRW_COEFFS)
+        _, a, _ = transform_generalized(CRW_COEFFS)
         U, V = compute_uv(CRW_COEFFS, a)
         assert U == pytest.approx(0.5, abs=1e-10)   # (c_+ + c_-)/(2(1-q))
         assert V == pytest.approx(1.5, abs=1e-10)   # q/(1-q)
 
     def test_translation_invariance(self):
-        _, a = transform_generalized(CRW_COEFFS)
+        _, a, _ = transform_generalized(CRW_COEFFS)
         U0, V0 = compute_uv(CRW_COEFFS, a)
-        U1, V1 = compute_uv(CRW_COEFFS, a.values + 7.0)
+        U1, V1 = compute_uv(CRW_COEFFS, a + 7.0)
         assert U1 == pytest.approx(U0, abs=1e-10)
         assert V1 == pytest.approx(V0, abs=1e-10)
 
@@ -161,8 +182,10 @@ class TestClassifyGeneralized:
     def test_matches_lamperti_of_transform(self, rng):
         for _ in range(30):
             co = random_generalized_coefficients(rng)
-            lc, a = transform_generalized(co)
+            lc, a, residual = transform_generalized(co)
             direct = classify_generalized(co, refined=True)
+            _, a_kept, residual_kept = direct.transform
+            assert np.array_equal(a_kept, a) and residual_kept == residual
             via = classify_lamperti(lc, refined=True)
             assert direct.verdict is via.verdict
             assert direct.U == pytest.approx(via.U, abs=1e-10)
@@ -223,9 +246,7 @@ class TestMomentThreshold:
             U, V = lc.uv()
             rep = moment_threshold(U, V)
             expected = (V - U) / (2 * V)
-            direct = (
-                PI_SYM.mean(list(s2)) - PI_SYM.mean(list(2 * c))
-            ) / (2 * PI_SYM.mean(list(s2)))
+            direct = (PI_SYM @ s2 - PI_SYM @ (2 * c)) / (2 * PI_SYM @ s2)
             assert rep.theta_star == pytest.approx(expected, abs=1e-12)
             assert rep.theta_star == pytest.approx(direct, abs=1e-12)
 
@@ -246,9 +267,9 @@ def _with_d(co, new_d):
 def _generic_coeffs(Q, pi, d):
     from halfstrip import AsymptoticCoefficients
 
-    n = Q.size
+    n = len(Q)
     return AsymptoticCoefficients(
-        labels=Q.labels,
+        labels=tuple(range(n)),
         d=d,
         e=np.zeros(n),
         t2=np.ones(n),

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,11 @@ DRIFTING = {
         {"jump": 1, "next": 0, "prob": 0.65},
         {"jump": -1, "next": 0, "prob": 0.35},
     ]},
+}
+# one line with drift 1/(2x) and unit variance: U = V = 1, the boundary case
+BOUNDARY_COEFFS = {
+    "type": "coefficients", "labels": [0], "d": [0.0], "e": [0.5], "t2": [1.0],
+    "d_cross": [[0.0]], "gamma": [[0.0]], "Q": [[1.0]],
 }
 
 
@@ -123,10 +129,14 @@ class TestMalformedSpecs:
             (json.dumps(CRW_NULL), ["--tol", "-1e-3"]),
             (json.dumps(CRW_NULL), ["--p-cap", "nan"]),
             (json.dumps(CRW_NULL), ["--p-cap", "0"]),
+            (json.dumps({**BOUNDARY_COEFFS, "refined_rates_hold": "no"}), []),
+            (json.dumps({**BOUNDARY_COEFFS, "fit_residuals": {"mu": math.nan}}), []),
+            (json.dumps({**BOUNDARY_COEFFS, "warnings": [1]}), []),
         ],
         ids=["inf-jump", "inf-jump-refined", "huge-jump", "q-null", "q-list", "top-level-array",
              "tabular-list-labels", "coefficients-list-labels", "tol-nan", "tol-negative",
-             "tol-inf", "tol-negative-exponent", "p-cap-nan", "p-cap-zero"],
+             "tol-inf", "tol-negative-exponent", "p-cap-nan", "p-cap-zero",
+             "refined-rates-hold-string", "fit-residual-nan", "warning-not-a-string"],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, text, flags):
         path = tmp_path / "spec.json"
@@ -135,6 +145,22 @@ class TestMalformedSpecs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("refined,verdict", [(False, "Indeterminate"),
+                                                 (True, "BoundaryNullRecurrent")])
+    def test_refined_rates_hold_is_read_as_given(self, tmp_path, capsys, refined, verdict):
+        spec = write(tmp_path, "c.json", {**BOUNDARY_COEFFS, "refined_rates_hold": refined})
+        assert main(["analyze", "--model", spec]) == 0
+        assert json.loads(capsys.readouterr().out)["classification"]["verdict"] == verdict
+
+    @pytest.mark.parametrize("extra", [{}, {"pi": [0.5, 0.5]}], ids=["no-pi", "with-pi"])
+    def test_reducible_q_says_so_with_or_without_pi(self, tmp_path, capsys, extra):
+        spec = write(tmp_path, "c.json", {**self.COEFFS, "labels": [1, -1],
+                                          "Q": [[1.0, 0.0], [0.0, 1.0]], **extra})
+        assert main(["analyze", "--model", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix is reducible; no unique stationary distribution\n"
 
     @staticmethod
     def assert_one_line_exit_2(capsys, argv):

@@ -73,8 +73,8 @@ class TestFitAsymptotics:
         assert co.t2[up] == pytest.approx(1.0, abs=1e-10)
         assert co.gamma[up, up] == pytest.approx(0.1, abs=1e-10)
         assert co.gamma[up, down] == pytest.approx(-0.1, abs=1e-10)
-        assert np.allclose(co.Q_limit.entries, [[0.6, 0.4], [0.4, 0.6]], atol=1e-10)
-        assert co.pi[1] == pytest.approx(0.5, abs=1e-10)
+        assert np.allclose(co.Q_limit, [[0.6, 0.4], [0.4, 0.6]], atol=1e-10)
+        assert co.pi[up] == pytest.approx(0.5, abs=1e-10)
         assert not co.warnings
 
     def test_crw_asymmetric_closed_forms(self):
@@ -160,7 +160,7 @@ class TestCoefficientsType:
 
     def test_arrays_are_read_only_and_shape_checked(self):
         co = fit_asymptotics(CRW)
-        for name in ("d", "e", "t2", "d_cross", "gamma"):
+        for name in ("d", "e", "t2", "d_cross", "gamma", "Q_limit", "pi"):
             with pytest.raises(ValueError):
                 getattr(co, name)[0] = 1.0
         with pytest.raises(ValueError, match="shape"):
@@ -175,7 +175,24 @@ class TestCoefficientsType:
         other = AsymptoticCoefficients.from_dict(co.to_dict())
         for name in ("d", "e", "t2", "d_cross", "gamma"):
             assert np.array_equal(getattr(other, name), getattr(co, name))
-        assert np.array_equal(other.Q_limit.entries, co.Q_limit.entries)
+        assert np.array_equal(other.Q_limit, co.Q_limit)
+        assert np.array_equal(other.pi, co.pi)
+
+    @pytest.mark.parametrize("Q,pi,match", [
+        ([[0.7, 0.2], [0.4, 0.6]], [0.5, 0.5], "sum to 1"),
+        ([[1.2, -0.2], [0.4, 0.6]], [0.5, 0.5], "negative"),
+        ([[0.6, 0.4, 0.0], [0.4, 0.6, 0.0]], [0.5, 0.5], "2x2"),
+        ([[0.6, 0.4], [0.4, 0.6]], [1.0, 0.0], "strictly positive"),
+        ([[0.6, 0.4], [0.4, 0.6]], [0.5, 0.6], "sum to 1"),
+        ([[0.6, 0.4], [0.4, 0.6]], [1.0], "stationary weights"),
+    ])
+    def test_label_chain_checked_at_construction(self, Q, pi, match):
+        co = fit_asymptotics(CRW)
+        with pytest.raises(ValueError, match=match):
+            AsymptoticCoefficients(
+                labels=co.labels, d=co.d, e=co.e, t2=co.t2,
+                d_cross=co.d_cross, gamma=co.gamma, Q_limit=Q, pi=pi,
+            )
 
     def test_unknown_keys_rejected(self):
         payload = fit_asymptotics(CRW).to_dict()
@@ -188,6 +205,40 @@ class TestCoefficientsType:
         payload["pi"] = [0.9, 0.1]
         with pytest.raises(ValueError, match="not stationary"):
             AsymptoticCoefficients.from_dict(payload)
+
+    @pytest.mark.parametrize("with_pi", [False, True])
+    def test_reducible_q_rejected_with_or_without_pi(self, with_pi):
+        payload = fit_asymptotics(CRW).to_dict()
+        payload["Q"] = [[1.0, 0.0], [0.0, 1.0]]
+        payload["pi"] = [0.5, 0.5]
+        if not with_pi:
+            del payload["pi"]
+        with pytest.raises(ValueError, match="matrix is reducible"):
+            AsymptoticCoefficients.from_dict(payload)
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("refined_rates_hold", "no", "refined_rates_hold must be true or false"),
+        ("refined_rates_hold", 1, "refined_rates_hold must be true or false"),
+        ("fit_residuals", [], "fit_residuals must be an object"),
+        ("fit_residuals", {"mu": float("nan")}, "fit_residuals 'mu': expected a finite"),
+        ("fit_residuals", {"mu": "0.1"}, "fit_residuals 'mu': expected a number"),
+        ("warnings", "none", "warnings must be a list of strings"),
+        ("warnings", ["ok", 3], "warnings must be a list of strings"),
+    ])
+    def test_optional_fields_type_checked(self, key, value, match):
+        payload = fit_asymptotics(CRW).to_dict()
+        payload[key] = value
+        with pytest.raises(ValueError, match=match):
+            AsymptoticCoefficients.from_dict(payload)
+
+    def test_optional_fields_echoed_as_given(self):
+        payload = fit_asymptotics(CRW).to_dict()
+        payload.update(fit_residuals={"mu": 0, "q": 2.5e-7}, warnings=["noted"],
+                       refined_rates_hold=True)
+        back = AsymptoticCoefficients.from_dict(payload).to_dict()
+        assert back["fit_residuals"] == {"mu": 0, "q": 2.5e-7}
+        assert type(back["fit_residuals"]["mu"]) is int
+        assert back["warnings"] == ["noted"] and back["refined_rates_hold"] is True
 
 
 class TestCheckRegime:

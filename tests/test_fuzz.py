@@ -1,5 +1,6 @@
 """Fuzz ``halfstrip analyze`` with mutated specs: every run must end in a
-report (exit 0) or a one-line error (exit 2), never an uncaught exception."""
+report that is strict JSON (exit 0) or a one-line error (exit 2), never an
+uncaught exception."""
 
 import copy
 import json
@@ -38,6 +39,8 @@ COEFFICIENTS = {
     "gamma": [[0.1, -0.1], [0.1, -0.1]],
     "Q": [[0.6, 0.4], [0.4, 0.6]],
     "pi": [0.5, 0.5],
+    "fit_residuals": {"mu": 1e-12, "q": 0.0},
+    "warnings": ["asserted by hand"],
     "refined_rates_hold": False,
 }
 
@@ -109,5 +112,9 @@ def test_analyze_survives_mutated_specs(tmp_path, capsys, base, n_mutations, dat
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
-        cls = json.loads(out)["classification"]
+        cls = json.loads(out, parse_constant=_refuse)["classification"]
         assert math.isfinite(cls["U"]) and math.isfinite(cls["V"])
+
+
+def _refuse(token):
+    raise AssertionError(f"the report holds {token}, which is not JSON")

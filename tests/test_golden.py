@@ -1,13 +1,18 @@
-"""Golden digests: the exact bytes of small ``simulate`` and ``verify --lyapunov``
-runs, so that byte identity across versions is checked by the suite.
+"""Golden digests: the exact bytes of small ``simulate``, ``verify --lyapunov``
+and ``analyze`` runs, so that byte identity across versions is checked by the
+suite.
 
-The digests were recorded with commit 0be5c78. Outputs are pure functions of
+The ``simulate`` and ``verify`` digests were recorded with commit 0be5c78, the
+``analyze`` digests with commit 3a79728. Outputs are pure functions of
 (inputs, seed, version); a change that moves any of these bytes changes the
 program's output and must say so where it re-records the digest.
 """
 
 import hashlib
 import json
+
+import pytest
+from test_label_order import THREE_LABELS
 
 from halfstrip.cli import main
 
@@ -17,6 +22,35 @@ SIMULATE_CSV = "0f595c5d5b3e369dea2aaacb30633e28ac51a252f8f948d5d0991ccc8b41fad4
 SIMULATE_SUMMARY = "0a4abd4d959279e6761e678f0d0a6487030c08c7efd40535857facce5631be59"
 VERIFY_STDOUT = "abc9883a5ab33946cb797a6f5c05fcb8977440fed3a13a3e24cd688e16c4e9c8"
 VERIFY_RATIOS = "8471de52429177bdffbacd42ef11092d47452f21cd017801364830b9d56c156f"
+
+# analyze inputs: a generalized Lamperti tabular model (its report carries the
+# centered solution a by label), the CRW with an o(1/x) remainder, and a
+# coefficients document that supplies pi
+ANALYZE_SPECS = {
+    "three-label-reset": {**THREE_LABELS, "labels": ["a", "b", "c"]},
+    "remainder-crw": {"type": "crw", "q": 0.6, "c_plus": 0.55, "c_minus": 0.55,
+                      "delta": 0.5, "amp": 0.3},
+    "coefficients-with-pi": {
+        "type": "coefficients", "labels": ["u", "v"],
+        "d": [0.2, -0.1], "e": [0.1, -0.2], "t2": [1.0, 0.5],
+        "d_cross": [[0.3, -0.1], [0.1, -0.2]], "gamma": [[0.1, -0.1], [-0.05, 0.05]],
+        "Q": [[0.6, 0.4], [0.2, 0.8]], "pi": [0.3333333333333333, 0.6666666666666666],
+    },
+}
+ANALYZE_REPORTS = {
+    ("three-label-reset", ""):
+        "f460b2ee422d320a01555a3b8fce573d8ddeab4d0d6875378d17a9e466b5a445",
+    ("three-label-reset", "--refined"):
+        "dae3ce2dc1f16f3ea347d2fbe36d5d2977a0ddcdabc572ae5701a5973296eed2",
+    ("remainder-crw", ""):
+        "2358576c48f934061df628148d66914dcb342bee47953eef9b8ecbe6785eb979",
+    ("remainder-crw", "--refined"):
+        "34dde7b04a944f79d337be7611143153ebfeb6d02ac6bbc963a9467d5a1f48fd",
+    ("coefficients-with-pi", ""):
+        "c1871536f100fc630ae7564ac705cb324b4c169290da1522f7f9ddfce68c0ece",
+    ("coefficients-with-pi", "--refined"):
+        "4f676603e4854e17b60225e53b6d170b4500b03b1178fad1a4e62b55647f0482",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -50,3 +84,13 @@ def test_verify_lyapunov_stdout_and_ratios(tmp_path, capsys):
     assert "PASS tail-exponent" in out  # the Kaplan-Meier fit ran on these samples
     assert sha256(out.encode()) == VERIFY_STDOUT
     assert sha256(ratios.read_bytes()) == VERIFY_RATIOS
+
+
+@pytest.mark.parametrize("name,flag", sorted(ANALYZE_REPORTS),
+                         ids=[f"{n}{f}" for n, f in sorted(ANALYZE_REPORTS)])
+def test_analyze_report(tmp_path, monkeypatch, name, flag):
+    monkeypatch.chdir(tmp_path)  # the report records the model path as given
+    (tmp_path / "model.json").write_text(json.dumps(ANALYZE_SPECS[name]))
+    argv = ["analyze", "--model", "model.json", "--out", "report.json"]
+    assert main(argv + ([flag] if flag else [])) == 0
+    assert sha256((tmp_path / "report.json").read_bytes()) == ANALYZE_REPORTS[name, flag]

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfstrip import make_tabular, shift_model
+from halfstrip import ShiftedChainModel, make_tabular
 
 # at x = 21.799996820181047 numpy's vectorised power and libm's pow() differ
 # in the last bit of x^(-1.1), so the first atom's probability does too
@@ -146,14 +146,15 @@ def test_lanes_agree_on_random_models(model_and_override, data):
                                   min_size=2, max_size=2))
     check_lanes(model, positions, uniforms)
 
-    offsets = {k: data.draw(st.integers(0, 12)) / 4 for k in model.labels}
-    shifted = shift_model(model, offsets)
+    offsets = np.array([data.draw(st.integers(0, 12)) / 4 for _ in model.labels])
+    shifted = ShiftedChainModel(model, offsets)
+    off = dict(zip(model.labels, offsets.tolist()))
     for x in positions:
         for label in model.labels:
-            y = x + offsets[label]
+            y = x + off[label]
             want = [
-                (bits(a.jump + offsets[a.next_label] - offsets[label]), a.next_label, bits(a.prob))
-                for a in model.distribution(y - offsets[label], label).atoms
+                (bits(a.jump + off[a.next_label] - off[label]), a.next_label, bits(a.prob))
+                for a in model.distribution(y - off[label], label).atoms
             ]
             got = [(bits(a.jump), a.next_label, bits(a.prob))
                    for a in shifted.distribution(y, label).atoms]

@@ -5,8 +5,8 @@ import pytest
 
 from halfstrip import (
     LampertiCoefficients,
+    ShiftedChainModel,
     State,
-    StochasticMatrix,
     WrongSignError,
     choose_b,
     expected_f_increment,
@@ -15,8 +15,8 @@ from halfstrip import (
     lyapunov_spec,
     make_crw,
     make_tabular,
-    shift_model,
     stationary_distribution,
+    stochastic_matrix,
     transform_generalized,
     verify_drift_estimate,
 )
@@ -32,13 +32,13 @@ SYMMETRIC_WALK = make_tabular({
         {"jump": -1, "next": 0, "prob": 0.5},
     ]},
 })
-SINGLE = StochasticMatrix((0,), [[1.0]])
+SINGLE = stochastic_matrix([[1.0]], 1)
 PI_SINGLE = stationary_distribution(SINGLE)
 WALK_LC = LampertiCoefficients((0,), [0.0], [1.0], SINGLE, PI_SINGLE)
 
 CRW = make_crw(0.6, 0.2, 0.2)
-CRW_LC, CRW_A = transform_generalized(fit_asymptotics(CRW))
-CRW_SHIFTED = shift_model(CRW, CRW_A.as_dict())
+CRW_LC, CRW_A, _ = transform_generalized(fit_asymptotics(CRW))
+CRW_SHIFTED = ShiftedChainModel(CRW, CRW_A)
 
 
 def drift_model(c):
@@ -100,7 +100,7 @@ class TestChooseB:
     def test_wrong_sign_at_critical_exponent(self):
         # c = 0.25, s2 = 1 puts the critical exponent at nu = 1/2, where
         # u = 2c + (nu - 1) s2 is exactly zero: no strict b exists
-        Q = StochasticMatrix((0, 1), [[0.5, 0.5], [0.5, 0.5]])
+        Q = stochastic_matrix([[0.5, 0.5], [0.5, 0.5]], 2)
         lc = LampertiCoefficients(
             (0, 1), [0.25, 0.25], [1.0, 1.0], Q, stationary_distribution(Q),
         )
@@ -108,12 +108,13 @@ class TestChooseB:
             choose_b(lc, nu=0.5, direction="negative")
 
     def test_nonuniform_checked_by_substitution(self):
-        Q = StochasticMatrix((0, 1), [[0.6, 0.4], [0.4, 0.6]])
+        Q = stochastic_matrix([[0.6, 0.4], [0.4, 0.6]], 2)
         pi = stationary_distribution(Q)
-        lc = LampertiCoefficients((0, 1), [0.5, -1.0], [0.0, 1.0], Q, pi)
+        lc = LampertiCoefficients(("p", "m"), [0.5, -1.0], [0.0, 1.0], Q, pi)
         b = choose_b(lc, nu=1.0, direction="negative")
-        bvec = np.array([b[k] for k in lc.labels])
-        slack = 2 * lc.c + 0.0 * lc.s2 + ((bvec - bvec[:, None]) * Q.entries).sum(axis=1)
+        assert list(b) == ["p", "m"]  # keyed by label, as f_nu reads it
+        bvec = np.array([b["p"], b["m"]])
+        slack = 2 * lc.c + 0.0 * lc.s2 + ((bvec - bvec[:, None]) * Q).sum(axis=1)
         assert (slack < 0).all()
 
 

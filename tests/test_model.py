@@ -6,10 +6,10 @@ import pytest
 from halfstrip import (
     ChainModel,
     ModelSpecError,
+    ShiftedChainModel,
     make_crw,
     make_tabular,
     model_from_spec,
-    shift_model,
     validate_model,
 )
 from halfstrip.model import LineLaw
@@ -228,7 +228,8 @@ class TestValidate:
         rep = validate_model(m, p=4.0)
         assert rep.ok and rep.stochastic_ok and rep.landings_ok
         assert rep.irreducible
-        assert np.allclose(rep.q_limit.entries, [[0.6, 0.4], [0.4, 0.6]], atol=1e-9)
+        assert np.allclose(rep.q_limit, [[0.6, 0.4], [0.4, 0.6]], atol=1e-9)
+        assert not rep.q_limit.flags.writeable
         assert rep.cp_witness == pytest.approx(1.0, abs=1e-12)
 
     def test_reducible_limit_flagged(self):
@@ -266,7 +267,7 @@ class TestValidate:
 class TestShiftedModel:
     def test_distribution_translates_jumps(self):
         m = make_crw(0.6, 0.2, 0.2)
-        s = shift_model(m, {1: 0.5, -1: 0.0})
+        s = ShiftedChainModel(m, [0.5, 0.0])  # labels (1, -1)
         base = m.distribution(10.0, 1)
         shifted = s.distribution(10.5, 1)
         # jump to label +1 stays 1; jump to label -1 gains -0.5
@@ -275,10 +276,14 @@ class TestShiftedModel:
         assert [a.prob for a in shifted.atoms] == [a.prob for a in base.atoms]
 
     def test_rejects_position_below_offset(self):
-        s = shift_model(make_crw(0.6, 0.2, 0.2), {1: 0.5, -1: 0.0})
+        s = ShiftedChainModel(make_crw(0.6, 0.2, 0.2), [0.5, 0.0])
         with pytest.raises(ValueError):
             s.distribution(0.2, 1)
 
     def test_rejects_negative_offsets(self):
         with pytest.raises(ValueError):
-            shift_model(make_crw(0.6, 0.2, 0.2), {1: -0.5, -1: 0.0})
+            ShiftedChainModel(make_crw(0.6, 0.2, 0.2), [-0.5, 0.0])
+
+    def test_rejects_one_offset_too_many(self):
+        with pytest.raises(ValueError, match="one offset per label"):
+            ShiftedChainModel(make_crw(0.6, 0.2, 0.2), [0.5, 0.0, 0.0])
