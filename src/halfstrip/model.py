@@ -66,9 +66,6 @@ class IncrementDistribution:
             raise ValueError(f"atom probabilities sum to {probs.sum()!r}")
         object.__setattr__(self, "atoms", atoms)
 
-    def mean_jump(self) -> float:
-        return float(sum(a.prob * a.jump for a in self.atoms))
-
 
 def _freeze(arr) -> np.ndarray:
     out = np.array(arr, dtype=float)
@@ -104,13 +101,14 @@ class LineLaw:
 class _StepTables:
     """Every line's kernel coefficients: the one definition of a step's law.
 
-    :meth:`probs` gives one state's atom probabilities, for ``distribution``
-    and the scalar lane; :meth:`choose` evaluates the same expression, in the
-    same order, per row of a batch. Both take ``x^(-1-delta)`` from libm
-    (Python float ``**``), never from numpy's vectorised ``power``, whose
-    last bit can differ. Atom slots are padded to a common width A; padded
-    slots carry probability 0 and the per-line atom count clips the
-    inverse-CDF choice, so they are never selected.
+    :meth:`pick` evaluates one state's atom probabilities in declared order
+    and stops at the atom a uniform picks, for the scalar lane; :meth:`probs`
+    runs it to the end and lists them all, for ``distribution``. :meth:`choose`
+    evaluates the same expression, in the same order, per row of a batch. All
+    take ``x^(-1-delta)`` from libm (Python float ``**``), never from numpy's
+    vectorised ``power``, whose last bit can differ. Atom slots are padded to
+    a common width A; padded slots carry probability 0 and the per-line atom
+    count clips the inverse-CDF choice, so they are never selected.
     """
 
     def __init__(self, lines, floor):
@@ -149,43 +147,59 @@ class _StepTables:
         self.jump_list = [line.jumps.tolist() for line in lines]
         self.next_list = [line.next_idx.tolist() for line in lines]
         self.trigger_list = self.trigger.tolist()
+        self.trigger_top = max(self.trigger_list)
 
-    def probs(self, x: float, li: int, u: float = math.inf) -> list:
-        """Line ``li``'s atom probabilities at ``x``, in declared atom order, up
-        to the first whose cumulative sum exceeds ``u``: the last one returned
-        is the atom that ``u`` picks by inverse CDF (the line's last atom when
-        rounding keeps the total at or below ``u``)."""
-        consts = self.const_list[li]
-        varying = self.varying and x >= self.floor
-        if varying:
-            xs = x if x > self.safe_floor else self.safe_floor
-            has_inv, invs = self.has_inv, self.inv_list[li]
-            has_pow, pows = self.has_pow, self.pow_list[li]
-            xp = xs**self.neg_exp if has_pow else 0.0
+    def probs(self, x: float, li: int) -> list:
+        """Line ``li``'s atom probabilities at ``x``, in declared atom order."""
         out = []
-        cum = 0.0
-        for k in range(len(consts)):
-            p = consts[k]
-            if varying:
-                if has_inv:
-                    p = p + invs[k] / xs
-                if has_pow:
-                    p = p + pows[k] * xp
-            out.append(p)
-            cum += p
-            if u < cum:
-                break
+        self.pick(x, li, math.inf, out)
         return out
 
-    def choose(self, x, lab, u):
+    def pick(self, x: float, li: int, u: float, out: list | None = None) -> int:
+        """The atom of line ``li`` that ``u`` picks at ``x`` by inverse CDF: the
+        first whose cumulative probability exceeds ``u``, else the last. The
+        probabilities computed on the way are appended to ``out`` when given;
+        the scalar lane passes none, so no list is built per step."""
+        consts = self.const_list[li]
+        invs = pows = None
+        if self.varying and x >= self.floor:
+            xs = x if x > self.safe_floor else self.safe_floor
+            if self.has_inv:
+                invs = self.inv_list[li]
+            if self.has_pow:
+                pows = self.pow_list[li]
+                xp = xs**self.neg_exp
+        cum = 0.0
+        for k, p in enumerate(consts):
+            if invs is not None:
+                p = p + invs[k] / xs
+            if pows is not None:
+                p = p + pows[k] * xp
+            if out is not None:
+                out.append(p)
+            cum += p
+            if u < cum:
+                return k
+        return k
+
+    def choose(self, x, lab, u, xmin):
         """Vectorized inverse-CDF atom choice, one uniform per row. Returns the
         flat index ``lab * A + atom`` of each row's atom, which ``take`` reads
-        from any of the ``(S, A)`` tables."""
+        from any of the ``(S, A)`` tables.
+
+        ``xmin`` is the batch's least position, NaN rows ignored. The floor
+        clamp and the below-floor law act only at bounded ``x``: each is an
+        identity on every row when ``xmin`` sits at or above its bound, and is
+        then skipped. When ``xmin`` is below the floor, some row is too, so the
+        below-floor law is applied exactly when a row-wise test would apply it.
+        """
+        below = None
         if self.varying:
-            xs = np.maximum(x, self.safe_floor)
+            xs = x if xmin >= self.safe_floor else np.maximum(x, self.safe_floor)
             if self.has_pow:
                 xp = np.array([v**self.neg_exp for v in xs.tolist()])
-            below = x < self.floor
+            if xmin < self.floor:
+                below = x < self.floor
         base = lab * self.width
         if self.uniform_two:
             # two atoms per line: only the first atom's probability is needed
@@ -195,8 +209,8 @@ class _StepTables:
                     p0 = p0 + self.inv.take(base) / xs
                 if self.has_pow:
                     p0 = p0 + self.pow.take(base) * xp
-                if below.any():
-                    p0 = np.where(below, const0, p0)
+            if below is not None:
+                p0 = np.where(below, const0, p0)
             return base + (u >= p0)
         P = self.const.take(lab, axis=0)
         if self.varying:
@@ -204,8 +218,8 @@ class _StepTables:
                 P = P + self.inv.take(lab, axis=0) / xs[:, None]
             if self.has_pow:
                 P = P + self.pow.take(lab, axis=0) * xp[:, None]
-            if below.any():
-                P[below] = self.const[lab[below]]
+        if below is not None:
+            P[below] = self.const[lab[below]]
         np.cumsum(P, axis=1, out=P)
         choice = (u[:, None] >= P).sum(axis=1)
         return np.minimum(base + choice, self.last.take(lab))
@@ -248,6 +262,8 @@ class ChainModel:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "lines", tuple(self.lines))
         object.__setattr__(self, "_tables", _StepTables(self.lines, self.formula_floor))
+        object.__setattr__(self, "_override_top",
+                           max((pos for pos, _ in self.overrides), default=-math.inf))
 
     def label_index(self, label) -> int:
         try:
@@ -274,7 +290,8 @@ class ChainModel:
         ))
 
     def _land(self, x: float, jump: float) -> float:
-        """The boundary rule for one landing, as :meth:`step_batch` applies it per row."""
+        """The boundary rule for one landing, as :meth:`step_batch` applies it per
+        row and :meth:`step_scalar` inline."""
         landing = x + jump
         if self.boundary == "clip":
             return landing if landing > 0.0 else 0.0
@@ -300,12 +317,16 @@ class ChainModel:
         function of the trajectory and makes batching irrelevant to output.
         """
         t = self._tables
-        atom = t.choose(x, lab, u)
+        # the rules that act only at bounded x (floor, reset trigger, override
+        # states) are skipped when the least position puts every row past them;
+        # fmin ignores NaN rows, which no such rule changes either
+        xmin = np.fmin.reduce(x, initial=math.inf)
+        atom = t.choose(x, lab, u, xmin)
         jump = t.jump.take(atom)
         nxt = t.next.take(atom)
-        if self.boundary == "reset":
+        if self.boundary == "reset" and xmin < t.trigger_top:
             resetting = x < t.trigger.take(lab)
-            if resetting.any():
+            if np.logical_or.reduce(resetting):
                 jump = np.where(resetting, self.reset[0], jump)
                 nxt = np.where(resetting, self.reset[1], nxt)
         landing = x + jump
@@ -313,9 +334,10 @@ class ChainModel:
             np.maximum(landing, 0.0, out=landing)
         elif self.boundary == "reflect":
             np.abs(landing, out=landing)
-        for pos, li in self.overrides:
-            for row in np.flatnonzero((x == pos) & (lab == li)):
-                landing[row], nxt[row] = self._override_step(pos, li, float(u[row]))
+        if xmin <= self._override_top:
+            for pos, li in self.overrides:
+                for row in np.flatnonzero((x == pos) & (lab == li)):
+                    landing[row], nxt[row] = self._override_step(pos, li, float(u[row]))
         return landing, nxt
 
     def step_scalar(self, x: float, li: int, u: float):
@@ -327,8 +349,14 @@ class ChainModel:
         t = self._tables
         if self.boundary == "reset" and x < t.trigger_list[li]:
             return x + self.reset[0], self.reset[1]
-        k = len(t.probs(x, li, u)) - 1
-        return self._land(x, t.jump_list[li][k]), t.next_list[li][k]
+        k = t.pick(x, li, u)
+        # _land's boundary rule, inline: one call less per step
+        landing = x + t.jump_list[li][k]
+        if self.boundary == "clip":
+            landing = landing if landing > 0.0 else 0.0
+        elif self.boundary == "reflect":
+            landing = abs(landing)
+        return landing, t.next_list[li][k]
 
 
 @dataclass(frozen=True)

@@ -312,13 +312,14 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
         cursor += 1
         x, lab = model.step_batch(x, lab, u)
         steps += 1
-        # finished rows sit at +inf, so a plain comparison finds first hits
-        newly = x <= level
-        if newly.any():
+        # finished rows sit at +inf, so a plain comparison finds first hits;
+        # the row-wise test runs only on a step where the least position hits
+        if np.fmin.reduce(x) <= level:
+            newly = x <= level
             taus[orig[newly]] = steps
-            done = done | newly
+            done |= newly
             x[newly] = np.inf
-            n_done = int(done.sum())
+            n_done = np.count_nonzero(done)
             if n_done == len(orig):
                 break
             if len(orig) - n_done <= SCALAR_TAIL:

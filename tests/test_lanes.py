@@ -4,18 +4,22 @@ For random tabular models (clip, reflect and reset boundaries, ``inv_x`` and
 ``pow`` terms, an override state) and adversarial positions and uniforms,
 ``step_scalar``, ``step_batch`` (on one row, inside a mixed batch, and inside
 a batch with retired ``+inf`` rows and a strided column of uniforms) and the
-atom that ``distribution`` puts at ``u`` agree bit for bit. The shifted view's
-law is the base law with every jump moved by the offset difference.
+atom that ``distribution`` puts at ``u`` agree bit for bit. ``step_batch``
+skips the rules that act only at bounded ``x`` when its least position is past
+them; wide batches with and without rows at those rules agree with
+``step_scalar`` row by row. The shifted view's law is the base law with every
+jump moved by the offset difference.
 """
 
 import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfstrip import ShiftedChainModel, make_tabular
+from halfstrip import ShiftedChainModel, make_tabular, model_from_spec
 
 # at x = 21.799996820181047 numpy's vectorised power and libm's pow() differ
 # in the last bit of x^(-1.1), so the first atom's probability does too
@@ -82,6 +86,74 @@ def check_lanes(model, positions, extra_uniforms=()):
 
 def test_pow_repro():
     check_lanes(make_tabular(POW_REPRO), [21.799996820181047, 5.0, 1e3])
+
+
+def _gate_spec(boundary):
+    """Two labels, three and two atoms, ``inv_x`` and ``pow`` terms, floor 20,
+    trigger 3 and one override state at (40, label 1)."""
+    return {
+        "type": "tabular", "labels": [0, 1], "delta": 0.5, "floor": 20.0,
+        "boundary": boundary,
+        "lines": {
+            "0": [{"jump": 2, "next": 1, "prob": {"const": 0.3, "inv_x": 0.5, "pow": 0.2}},
+                  {"jump": -1, "next": 0, "prob": {"const": 0.5, "inv_x": -0.2}},
+                  {"jump": -3, "next": 1, "prob": {"const": 0.2, "inv_x": -0.3, "pow": -0.2}}],
+            "1": [{"jump": 1, "next": 0, "prob": {"const": 0.6, "inv_x": 0.4}},
+                  {"jump": -2, "next": 1, "prob": {"const": 0.4, "inv_x": -0.4}}],
+        },
+        "states": [{"x": 40.0, "label": 1, "atoms": [
+            {"jump": 1, "next": 0, "prob": 0.5}, {"jump": -1, "next": 1, "prob": 0.5}]}],
+    }
+
+
+GATE_MODELS = {
+    "clip": _gate_spec("clip"),
+    "reflect": _gate_spec("reflect"),
+    "reset": _gate_spec({"rule": "reset", "jump": 2, "label": 0}),
+    "crw": {"type": "crw", "q": 0.6, "c_plus": 0.2, "c_minus": -0.3, "amp": 0.1},
+}
+
+
+def check_batch_rows(model, xs, labs, us):
+    # the floor clamp keeps x = 0 rows from dividing by zero, even where they reset
+    with np.errstate(all="raise"):
+        bx, bl = model.step_batch(xs, labs, us)
+    for k, (x, li, u) in enumerate(zip(xs.tolist(), labs.tolist(), us.tolist())):
+        sx, sl = model.step_scalar(x, li, u)
+        assert bits(sx) == bits(bx[k]) and sl == bl[k], (x, li, u)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_MODELS))
+def test_batch_gates_agree_with_scalar_lane(name):
+    model = model_from_spec(GATE_MODELS[name])
+    t = model._tables
+    bound = max([model.formula_floor, t.trigger_top] + [pos for pos, _ in model.overrides])
+    rng = np.random.default_rng(11)
+    n = 300
+    # every row past the floor, the reset trigger and every override state
+    xs = np.concatenate([bound + 0.5 + rng.integers(0, 60, n // 2),
+                         bound + rng.uniform(0.25, 1e6, n - n // 2)])
+    labs = rng.integers(0, len(model.labels), n)
+    us = rng.random(n)
+    assert xs.min() > bound
+    check_batch_rows(model, xs, labs, us)
+
+    # one row below the floor, where u = const[0] picks atom 1 by the constant
+    # law and atom 0 by the formula; one at 0, below the reset trigger; one on
+    # an override state, where u = 0.75 picks its second atom
+    low = [(model.formula_floor - 0.5, 0, t.const_list[0][0]), (0.0, 0, us[10])]
+    low += [(pos, li, 0.75) for pos, li in model.overrides]
+    for k, (x, li, u) in enumerate(low):
+        xs[7 * k + 3], labs[7 * k + 3], us[7 * k + 3] = x, li, u
+    check_batch_rows(model, xs, labs, us)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_MODELS))
+def test_empty_batch(name):
+    model = model_from_spec(GATE_MODELS[name])
+    x, lab = model.step_batch(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
+    assert x.shape == lab.shape == (0,)
+    assert x.dtype == np.float64 and lab.dtype == np.int64
 
 
 def _centered(values):
