@@ -69,12 +69,9 @@ from .sim import (
     EstimationError,
     PassageTimes,
     TailEstimate,
-    Trajectory,
     empirical_moment,
     recurrence_diagnostic,
     sample_passage_times,
-    simulate,
-    step_frequencies,
     tail_exponent,
     write_samples_csv,
 )

@@ -1,18 +1,20 @@
-"""Monte Carlo engine: trajectories, passage-time samples, recurrence
+"""Monte Carlo engine: passage-time samples, horizon snapshots, recurrence
 diagnostics, and tail-exponent estimation.
 
 Reproducibility contract
 ------------------------
 Every trajectory owns a private RNG stream derived from the master seed and
 its index by a counter scheme: stream(k) = PCG64(SeedSequence(master_seed,
-spawn_key=(domain, k))). The passage sampler computes the seed words of a
-whole chunk's streams at once (``_seed_words``, numpy's SeedSequence hash
-vectorised over k) and hands them to PCG64, so the streams are exactly those
-of the scheme. A trajectory consumes exactly one uniform per step
-(deterministic steps included), in stream order, so its output is a pure
-function of (model, start, level, cap, master_seed, index). Uniforms are
-pre-drawn per trajectory in blocks that start at 16 and double up to
-DEFAULT_BLOCK; block sizes, batched stepping and worker counts only change
+spawn_key=(domain, k))). There are two domains: ``_DOMAIN_PASSAGE`` for
+passage times and ``_DOMAIN_HORIZON`` for the positions after fixed step
+counts (``_horizon_chunk``). One loop, ``_passage_chunk``, steps both. It
+computes the seed words of a whole chunk's streams at once (``_seed_words``,
+numpy's SeedSequence hash vectorised over k) and hands them to PCG64, so the
+streams are exactly those of the scheme. A trajectory consumes exactly one
+uniform per step (deterministic steps included), in stream order, so its
+output is a pure function of (model, start, level, cap, master_seed, index).
+Uniforms are pre-drawn per trajectory in blocks that start at 16 and double up
+to DEFAULT_BLOCK; block sizes, batched stepping and worker counts only change
 scheduling and how many pre-drawn uniforms are discarded -- never any output
 byte.
 
@@ -41,8 +43,6 @@ _FIRST_BLOCK = 16
 SCALAR_TAIL = 16
 _DOMAIN_PASSAGE = 0
 _DOMAIN_HORIZON = 1
-_DOMAIN_TRAJECTORY = 2
-_DOMAIN_PROBE = 3
 
 
 class EstimationError(ValueError):
@@ -140,76 +140,6 @@ def _refill(buffer: np.ndarray, gens: list) -> None:
 
 
 # ---------------------------------------------------------------------------
-# trajectories
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Trajectory:
-    positions: np.ndarray
-    label_indices: np.ndarray
-    labels: tuple
-    seed: int
-    steps: int
-
-    def __len__(self) -> int:
-        return self.steps + 1
-
-    def state(self, n: int) -> State:
-        return State(float(self.positions[n]), self.labels[int(self.label_indices[n])])
-
-
-def simulate(model, start: State, horizon: int, seed: int) -> Trajectory:
-    """Sample one trajectory of ``horizon`` steps, bit-reproducible from the seed."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    li = model.label_index(start.label)
-    pos = float(start.position)
-    if not (math.isfinite(pos) and pos >= 0.0):
-        raise ValueError(f"start position must be finite and >= 0, got {pos!r}")
-    positions = np.empty(horizon + 1)
-    label_idx = np.empty(horizon + 1, dtype=np.int64)
-    positions[0] = pos
-    label_idx[0] = li
-    if horizon:
-        gen = _stream(seed, _DOMAIN_TRAJECTORY, 0)
-        step = model.step_scalar
-        x, cur_li = pos, li
-        block = DEFAULT_BLOCK
-        buf = gen.random(block).tolist()
-        cursor = 0
-        for t in range(1, horizon + 1):
-            if cursor == block:
-                buf = gen.random(block).tolist()
-                cursor = 0
-            x, cur_li = step(x, cur_li, buf[cursor])
-            cursor += 1
-            positions[t] = x
-            label_idx[t] = cur_li
-    positions.flags.writeable = False
-    label_idx.flags.writeable = False
-    return Trajectory(positions, label_idx, model.labels, int(seed), int(horizon))
-
-
-def step_frequencies(model, state: State, n_draws: int, seed: int) -> dict:
-    """Empirical law of a single step from a fixed state over n independent draws.
-
-    Returns {(jump, next_label): count}; the draws use one dedicated stream.
-    """
-    li = model.label_index(state.label)
-    gen = _stream(seed, _DOMAIN_PROBE, 0)
-    u = gen.random(n_draws)
-    x = np.full(n_draws, float(state.position))
-    lab = np.full(n_draws, li, dtype=np.int64)
-    nx, nl = model.step_batch(x, lab, u)
-    jumps = nx - float(state.position)
-    counts = {}
-    for j, l in zip(jumps, nl):
-        key = (float(j), model.labels[int(l)])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-# ---------------------------------------------------------------------------
 # passage times
 # ---------------------------------------------------------------------------
 
@@ -270,12 +200,19 @@ def _finish_scalar(model, x, li, level, cap, steps, gen, row_tail, width, block)
     return -1
 
 
-def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, count, block):
+def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, count, block,
+                   domain=_DOMAIN_PASSAGE, snaps=None):
+    """Passage times of trajectories index0 .. index0 + count - 1 of ``domain``.
+
+    ``snaps``, a dict keyed by step counts, receives the positions of all rows
+    after each of those steps. It is for the horizon lane, where no row is
+    absorbed, so such a chunk never hands rows to the scalar tail.
+    """
     taus = np.full(count, -1, dtype=np.int64)
     if start_pos <= level:
         taus[:] = 0
         return taus
-    gens = _streams(master_seed, _DOMAIN_PASSAGE, index0, count)
+    gens = _streams(master_seed, domain, index0, count)
     x = np.full(count, float(start_pos))
     lab = np.full(count, start_li, dtype=np.int64)
     orig = np.arange(count)
@@ -296,7 +233,7 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
                     gens[row], buf[row, cursor:].tolist(), width, block,
                 )
 
-    if count <= SCALAR_TAIL:
+    if count <= SCALAR_TAIL and snaps is None:
         scalar_tail()
         return taus
     while steps < cap:
@@ -312,6 +249,8 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
         cursor += 1
         x, lab = model.step_batch(x, lab, u)
         steps += 1
+        if snaps is not None and steps in snaps:
+            snaps[steps] = x.copy()
         # finished rows sit at +inf, so a plain comparison finds first hits;
         # the row-wise test runs only on a step where the least position hits
         if np.fmin.reduce(x) <= level:
@@ -336,6 +275,16 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
 
 def _passage_worker(args):
     return _passage_chunk(*args)
+
+
+def _horizon_chunk(model, start_pos, start_li, snapshots, master_seed, index0, count):
+    """Positions of horizon trajectories index0 .. index0 + count - 1 after each
+    step count in ``snapshots``, as {steps: array}: the passage loop with a
+    level that no position reaches."""
+    snaps = dict.fromkeys(int(t) for t in snapshots)
+    _passage_chunk(model, start_pos, start_li, -math.inf, max(snaps), master_seed, index0,
+                   count, DEFAULT_BLOCK, _DOMAIN_HORIZON, snaps)
+    return snaps
 
 
 def sample_passage_times(
@@ -559,29 +508,6 @@ class DiagnosticReport:
     empirical_call: str
     rule: str = _DIAGNOSTIC_RULE
     samples: PassageTimes | None = field(default=None, compare=False, repr=False)
-
-
-def _horizon_chunk(model, start_pos, start_li, snapshots, master_seed, index0, count):
-    """Positions of trajectories index0 .. index0 + count - 1 after each step
-    count in ``snapshots``, as {steps: array}."""
-    block = DEFAULT_BLOCK
-    gens = _streams(master_seed, _DOMAIN_HORIZON, index0, count)
-    x = np.full(count, float(start_pos))
-    lab = np.full(count, start_li, dtype=np.int64)
-    buf = np.empty((count, block))
-    _refill(buf, gens)
-    cursor = 0
-    wanted = set(int(t) for t in snapshots)
-    snaps = {}
-    for t in range(1, max(wanted) + 1):
-        if cursor == block:
-            _refill(buf, gens)
-            cursor = 0
-        x, lab = model.step_batch(x, lab, buf[:, cursor])
-        cursor += 1
-        if t in wanted:
-            snaps[t] = x.copy()
-    return snaps
 
 
 def recurrence_diagnostic(

@@ -16,8 +16,6 @@ from halfstrip import (
     make_tabular,
     recurrence_diagnostic,
     sample_passage_times,
-    simulate,
-    step_frequencies,
     tail_exponent,
     write_samples_csv,
 )
@@ -63,72 +61,6 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
     return record
-
-
-class TestSimulate:
-    def test_zero_horizon(self):
-        tr = simulate(CRW, State(10.0, 1), 0, seed=1)
-        assert len(tr) == 1
-        assert tr.state(0) == State(10.0, 1)
-
-    def test_reproducible(self):
-        a = simulate(CRW, State(10.0, 1), 5000, seed=42)
-        b = simulate(CRW, State(10.0, 1), 5000, seed=42)
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.label_indices, b.label_indices)
-
-    def test_deterministic_kernel_ignores_seed(self):
-        conveyor = make_tabular({
-            "type": "tabular",
-            "labels": [0],
-            "boundary": "clip",
-            "lines": {"0": [{"jump": 1, "next": 0, "prob": 1.0}]},
-        })
-        a = simulate(conveyor, State(0.0, 0), 100, seed=1)
-        b = simulate(conveyor, State(0.0, 0), 100, seed=999)
-        assert np.array_equal(a.positions, b.positions)
-        assert a.positions[-1] == 100.0
-
-    def test_steps_connected_by_kernel_atoms(self):
-        tr = simulate(CRW, State(10.0, 1), 500, seed=3)
-        for n in range(500):
-            x, lab = tr.state(n)
-            atoms = CRW.distribution(x, lab).atoms
-            nxt = tr.state(n + 1)
-            assert any(
-                nxt.position == x + a.jump and nxt.label == a.next_label
-                for a in atoms
-            )
-
-    def test_crw_jump_frequency_along_trajectory(self):
-        # fraction of up-moves from label +1 near x = 100 concentrates at
-        # q + c/(2x) ~ 0.601; the window is wide because the walk is
-        # null-recurrent and wanders
-        tr = simulate(CRW, State(100.0, 1), 1_000_000, seed=11)
-        ups = total = 0
-        for n in range(len(tr) - 1):
-            x, lab = tr.positions[n], tr.label_indices[n]
-            if lab == 0 and 80.0 <= x <= 120.0:  # label index 0 is +1
-                total += 1
-                ups += tr.positions[n + 1] > x
-        assert total > 3_000
-        p = 0.6 + 0.2 / (2 * 100.0)
-        sd = math.sqrt(p * (1 - p) / total)
-        # extra 0.0005 covers the drift of p(x) across the window
-        assert abs(ups / total - p) < 4 * sd + 0.0005
-
-
-class TestStepFrequencies:
-    def test_matches_kernel_within_four_sigma(self):
-        for x0, lab in ((100.0, 1), (10.0, -1), (2.0, 1)):
-            dist = CRW.distribution(x0, lab)
-            n = 1_000_000
-            counts = step_frequencies(CRW, State(x0, lab), n, seed=5)
-            assert sum(counts.values()) == n
-            for a in dist.atoms:
-                emp = counts.get((a.jump, a.next_label), 0) / n
-                sd = math.sqrt(a.prob * (1 - a.prob) / n)
-                assert abs(emp - a.prob) <= 4 * sd
 
 
 class TestPassageSampling:
@@ -185,6 +117,20 @@ class TestPassageSampling:
             sample_passage_times(CRW, State(30.0, 1), 5.0, cap=2000, n=3, master_seed=9,
                                  workers=0)
 
+    def test_deterministic_kernel_ignores_seed(self):
+        conveyor = make_tabular({
+            "type": "tabular",
+            "labels": [0],
+            "boundary": "clip",
+            "lines": {"0": [{"jump": -3, "next": 0, "prob": 1.0}]},
+        })
+        start, level, step = 50.0, 10.0, 3
+        for n in (5, 40):  # the scalar tail alone, and the batch lane
+            for seed in (1, 999):
+                times = sample_passage_times(conveyor, State(start, 0), level, cap=100, n=n,
+                                             master_seed=seed)
+                assert times.tau.tolist() == [math.ceil((start - level) / step)] * n
+
     def test_scalar_tail_matches_vector(self, monkeypatch):
         ref = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=50_000, n=40, master_seed=4)
         monkeypatch.setattr(sim, "SCALAR_TAIL", 0)
@@ -211,18 +157,49 @@ class TestPassageSampling:
         # is allocated, so peak memory stays near the widest block alone
         model = make_crw(0.6, 1.5, 1.5)  # transient: almost every row reaches the cap
         rows, block = 512, 2048
-        tracemalloc.start()
-        try:
-            sim._passage_chunk(model, 50.0, model.label_index(1), 10.0, 2100, 1, 0, rows, block)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.3 * rows * block * 8
+        assert sim.DEFAULT_BLOCK == block  # the block the horizon lane grows to
+        for run in (
+            lambda: sim._passage_chunk(model, 50.0, model.label_index(1), 10.0, 2100, 1, 0,
+                                       rows, block),
+            lambda: sim._horizon_chunk(model, 50.0, model.label_index(1), (1000, 2100), 1, 0,
+                                       rows),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.3 * rows * block * 8
 
     def test_censoring_flags(self):
         samples = sample_passage_times(CRW, State(200.0, 1), 1.0, cap=50, n=20, master_seed=3)
         assert samples.tau.tolist() == [-1] * 20
         assert samples.censored.all() and samples.steps.tolist() == [50] * 20
+
+
+class TestHorizonSnapshots:
+    STEPS = (1, 15, 16, 17, 700, 2500)
+
+    @pytest.mark.parametrize("count", [5, 40])  # at most SCALAR_TAIL rows, and more
+    def test_snapshots_equal_replayed_streams(self, monkeypatch, count):
+        # replay each row one uniform per step from its own horizon stream
+        model, index0, seed = make_crw(0.6, 1.5, 1.5), 3, 8
+        li = model.label_index(1)
+        want = {t: np.empty(count) for t in self.STEPS}
+        for row in range(count):
+            u = sim._stream(seed, sim._DOMAIN_HORIZON, index0 + row).random(max(self.STEPS))
+            x, lab = 50.0, li
+            for t in range(1, max(self.STEPS) + 1):
+                x, lab = model.step_scalar(x, lab, float(u[t - 1]))
+                if t in want:
+                    want[t][row] = x
+        for block in (16, 2048):
+            monkeypatch.setattr(sim, "DEFAULT_BLOCK", block)
+            got = sim._horizon_chunk(model, 50.0, li, self.STEPS, seed, index0, count)
+            assert sorted(got) == sorted(self.STEPS)
+            for t in self.STEPS:
+                assert got[t].tobytes() == want[t].tobytes(), (block, t)
 
 
 class TestPassageTimes:
