@@ -13,8 +13,11 @@ numpy's SeedSequence hash vectorised over k) and hands them to PCG64, so the
 streams are exactly those of the scheme. A trajectory consumes exactly one
 uniform per step (deterministic steps included), in stream order, so its
 output is a pure function of (model, start, level, cap, master_seed, index).
-Uniforms are pre-drawn per trajectory in blocks that start at 16 and double up
-to DEFAULT_BLOCK; block sizes, batched stepping and worker counts only change
+Uniforms are pre-drawn per trajectory in blocks. A chunk's block starts at 16
+uniforms per row and doubles at each refill, but never past DEFAULT_BLOCK,
+never past the cap, and never past BLOCK_UNIFORMS uniforms for the whole chunk
+(unless 16 per row exceed that budget). Each refill first drops the rows that
+have finished. Block sizes, batched stepping and worker counts only change
 scheduling and how many pre-drawn uniforms are discarded -- never any output
 byte.
 
@@ -39,6 +42,7 @@ from .model import State
 
 DEFAULT_BLOCK = 2048
 DEFAULT_BATCH = 4096
+BLOCK_UNIFORMS = 2**20  # uniforms held by one chunk's block (8 MB), unless 16 per row exceed it
 _FIRST_BLOCK = 16
 SCALAR_TAIL = 16
 _DOMAIN_PASSAGE = 0
@@ -181,14 +185,14 @@ class PassageTimes:
 def _finish_scalar(model, x, li, level, cap, steps, gen, row_tail, width, block):
     """Run one trajectory to absorption or cap with the scalar step lane,
     continuing mid-block exactly where the vector lane stopped; the next block
-    keeps doubling from that lane's ``width`` up to ``block``."""
+    keeps doubling from that lane's ``width`` up to ``block`` and the cap."""
     step = model.step_scalar
     data = row_tail
     cursor = 0
     n_data = len(data)
     while steps < cap:
         if cursor == n_data:
-            width = min(2 * width, block)
+            width = min(2 * width, block, cap - steps)
             data = gen.random(width).tolist()
             n_data = width
             cursor = 0
@@ -217,11 +221,10 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
     lab = np.full(count, start_li, dtype=np.int64)
     orig = np.arange(count)
     done = np.zeros(count, dtype=bool)
-    # most walks end within a few dozen steps: start small, double at each refill
-    width = min(_FIRST_BLOCK, block)
-    buf = np.empty((count, width))
-    _refill(buf, gens)
-    cursor = 0
+    # most walks end within a few dozen steps: the loop starts on a used-up
+    # block (cursor == width), so its first refill draws _FIRST_BLOCK per row
+    width = cursor = _FIRST_BLOCK // 2
+    buf = np.empty((count, 0))
     steps = 0
 
     def scalar_tail():
@@ -238,11 +241,17 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
         return taus
     while steps < cap:
         if cursor == width:
-            if width < block:
-                width = min(2 * width, block)
-                # free the old block (u is a view of it) before allocating the wider one
+            if done.any():
+                # drop the finished rows here, where the block is redrawn anyway
+                keep = ~done
+                x, lab, orig, done = x[keep], lab[keep], orig[keep], done[keep]
+                gens = [g for g, k in zip(gens, keep) if k]
+            rows = len(orig)
+            width = min(2 * width, block, max(_FIRST_BLOCK, BLOCK_UNIFORMS // rows), cap - steps)
+            if buf.shape != (rows, width):
+                # free the old block (u is a view of it) before allocating the next one
                 u = buf = None
-                buf = np.empty((len(orig), width))
+                buf = np.empty((rows, width))
             _refill(buf, gens)
             cursor = 0
         u = buf[:, cursor]
@@ -251,8 +260,9 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
         steps += 1
         if snaps is not None and steps in snaps:
             snaps[steps] = x.copy()
-        # finished rows sit at +inf, so a plain comparison finds first hits;
-        # the row-wise test runs only on a step where the least position hits
+        # finished rows sit at +inf until the next refill drops them, so a plain
+        # comparison finds first hits; the row-wise test runs only on a step
+        # where the least position hits
         if np.fmin.reduce(x) <= level:
             newly = x <= level
             taus[orig[newly]] = steps
@@ -264,12 +274,6 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
             if len(orig) - n_done <= SCALAR_TAIL:
                 scalar_tail()
                 break
-            # compact once at least half the resident rows are retired
-            if n_done * 2 >= len(orig) and len(orig) >= 64:
-                keep = ~done
-                x, lab, orig, done = x[keep], lab[keep], orig[keep], done[keep]
-                buf = np.ascontiguousarray(buf[keep])
-                gens = [g for g, k in zip(gens, keep) if k]
     return taus
 
 

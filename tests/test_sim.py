@@ -37,6 +37,16 @@ def synthetic_samples(values, cap=10**9):
     return PassageTimes(np.asarray(values, dtype=np.int64), cap)
 
 
+def peak_bytes(run):
+    """The most memory that ``run()`` held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Stands in for the process pool and starts no process: records each
@@ -76,6 +86,9 @@ class TestPassageSampling:
             (1, {"DEFAULT_BLOCK": 16}),
             (1, {"DEFAULT_BATCH": 64}),
             (2, {"DEFAULT_BLOCK": 512, "DEFAULT_BATCH": 37}),
+            (1, {"BLOCK_UNIFORMS": 64}),    # every block at the 16-uniform floor
+            (1, {"BLOCK_UNIFORMS": 1000}),  # odd widths (1000 // rows) once few rows are left
+            (2, {"BLOCK_UNIFORMS": 1000, "DEFAULT_BATCH": 37}),
         ):
             with monkeypatch.context() as patch:
                 for name, value in constants.items():
@@ -154,7 +167,9 @@ class TestPassageSampling:
 
     def test_wider_block_replaces_the_old_one(self):
         # the old block and its column view are freed before the wider block
-        # is allocated, so peak memory stays near the widest block alone
+        # is allocated, so peak memory stays near the widest block alone; 512
+        # rows of 2048 uniforms fit in the chunk budget, so the block still
+        # grows to DEFAULT_BLOCK here
         model = make_crw(0.6, 1.5, 1.5)  # transient: almost every row reaches the cap
         rows, block = 512, 2048
         assert sim.DEFAULT_BLOCK == block  # the block the horizon lane grows to
@@ -164,13 +179,39 @@ class TestPassageSampling:
             lambda: sim._horizon_chunk(model, 50.0, model.label_index(1), (1000, 2100), 1, 0,
                                        rows),
         ):
-            tracemalloc.start()
-            try:
-                run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1.3 * rows * block * 8
+            assert peak_bytes(run) < 1.3 * rows * block * 8
+
+    def test_block_stays_within_the_uniform_budget(self):
+        # 4096 rows of DEFAULT_BLOCK uniforms would take 64 MB; beside its
+        # block, a chunk holds only its rows' streams (about 1 kB each)
+        model = make_crw(0.6, 1.5, 1.5)  # transient: almost every row reaches the cap
+        rows = 4096
+        assert rows * sim.DEFAULT_BLOCK > 4 * sim.BLOCK_UNIFORMS
+        streams_bytes = peak_bytes(lambda: sim._streams(1, sim._DOMAIN_PASSAGE, 0, rows))
+        for run in (
+            lambda: sim._passage_chunk(model, 50.0, model.label_index(1), 10.0, 2100, 1, 0,
+                                       rows, sim.DEFAULT_BLOCK),
+            lambda: sim._horizon_chunk(model, 50.0, model.label_index(1), (1000, 2100), 1, 0,
+                                       rows),
+        ):
+            assert peak_bytes(run) < 1.3 * sim.BLOCK_UNIFORMS * 8 + streams_bytes
+
+    def test_finished_rows_leave_at_the_next_refill(self, monkeypatch):
+        # a row that finishes is stepped at +inf at most until its block is
+        # used up: at most 15 more steps in 16-uniform blocks
+        monkeypatch.setattr(sim, "DEFAULT_BLOCK", 16)
+        step_batch = type(CRW).step_batch
+        parked = []
+
+        def counting(self, x, lab, u):
+            parked.append(int(np.count_nonzero(x == np.inf)))
+            return step_batch(self, x, lab, u)
+
+        monkeypatch.setattr(type(CRW), "step_batch", counting)
+        times = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9)
+        finished = int(np.count_nonzero(~times.censored))
+        assert finished > 100 and sum(parked) > 0
+        assert sum(parked) <= 15 * finished
 
     def test_censoring_flags(self):
         samples = sample_passage_times(CRW, State(200.0, 1), 1.0, cap=50, n=20, master_seed=3)
@@ -194,12 +235,14 @@ class TestHorizonSnapshots:
                 x, lab = model.step_scalar(x, lab, float(u[t - 1]))
                 if t in want:
                     want[t][row] = x
-        for block in (16, 2048):
-            monkeypatch.setattr(sim, "DEFAULT_BLOCK", block)
-            got = sim._horizon_chunk(model, 50.0, li, self.STEPS, seed, index0, count)
+        for name, value in (("DEFAULT_BLOCK", 16), ("DEFAULT_BLOCK", 2048),
+                            ("BLOCK_UNIFORMS", 64), ("BLOCK_UNIFORMS", 1000)):
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, name, value)
+                got = sim._horizon_chunk(model, 50.0, li, self.STEPS, seed, index0, count)
             assert sorted(got) == sorted(self.STEPS)
             for t in self.STEPS:
-                assert got[t].tobytes() == want[t].tobytes(), (block, t)
+                assert got[t].tobytes() == want[t].tobytes(), (name, value, t)
 
 
 class TestPassageTimes:
