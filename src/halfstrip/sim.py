@@ -8,18 +8,21 @@ its index by a counter scheme: stream(k) = PCG64(SeedSequence(master_seed,
 spawn_key=(domain, k))). There are two domains: ``_DOMAIN_PASSAGE`` for
 passage times and ``_DOMAIN_HORIZON`` for the positions after fixed step
 counts (``_horizon_chunk``). One loop, ``_passage_chunk``, steps both. It
-computes the seed words of a whole chunk's streams at once (``_seed_words``,
-numpy's SeedSequence hash vectorised over k) and hands them to PCG64, so the
-streams are exactly those of the scheme. A trajectory consumes exactly one
-uniform per step (deterministic steps included), in stream order, so its
-output is a pure function of (model, start, level, cap, master_seed, index).
-Uniforms are pre-drawn per trajectory in blocks. A chunk's block starts at 16
-uniforms per row and doubles at each refill, but never past DEFAULT_BLOCK,
-never past the cap, and never past BLOCK_UNIFORMS uniforms for the whole chunk
-(unless 16 per row exceed that budget). Each refill first drops the rows that
-have finished. Block sizes, batched stepping and worker counts only change
-scheduling and how many pre-drawn uniforms are discarded -- never any output
-byte.
+runs one contiguous range of indices through a resident batch of at most
+DEFAULT_BATCH rows: each refill drops the rows that have finished and admits
+the next trajectories of the range in their place. It computes the seed words
+of the admitted streams at once (``_seed_words``, numpy's SeedSequence hash
+vectorised over k) and hands them to PCG64, so the streams are exactly those
+of the scheme. A trajectory consumes exactly one uniform per step
+(deterministic steps included), in stream order, so its output is a pure
+function of (model, start, level, cap, master_seed, index). Uniforms are
+pre-drawn per trajectory in blocks. The block starts at 16 uniforms per row,
+starts again at 16 whenever rows are admitted, and doubles at each other
+refill, but never past DEFAULT_BLOCK, never past the oldest row's cap, and
+never past BLOCK_UNIFORMS uniforms for the whole batch (unless 16 per row
+exceed that budget). Block sizes, batched stepping, resident rows and worker
+counts only change scheduling and how many pre-drawn uniforms are discarded
+-- never any output byte.
 
 Censoring
 ---------
@@ -41,8 +44,8 @@ import numpy as np
 from .model import State
 
 DEFAULT_BLOCK = 2048
-DEFAULT_BATCH = 4096
-BLOCK_UNIFORMS = 2**20  # uniforms held by one chunk's block (8 MB), unless 16 per row exceed it
+DEFAULT_BATCH = 4096  # resident rows per worker; each holds an RNG stream (about 1 kB)
+BLOCK_UNIFORMS = 2**20  # uniforms held by one batch's block (8 MB), unless 16 per row exceed it
 _FIRST_BLOCK = 16
 SCALAR_TAIL = 16
 _DOMAIN_PASSAGE = 0
@@ -153,7 +156,8 @@ class PassageTimes:
     trajectory in index order.
 
     ``tau`` is a read-only int64 array holding -1 where the trajectory was
-    censored at ``cap`` steps. ``censored`` and ``steps`` (the steps actually
+    censored at ``cap`` steps; any value below -1 or above ``cap`` is refused
+    with ValueError. ``censored`` and ``steps`` (the steps actually
     simulated: tau, or cap when censored) are derived from it, so the -1
     format is read here and nowhere else.
     """
@@ -163,6 +167,9 @@ class PassageTimes:
 
     def __post_init__(self):
         tau = np.array(self.tau, dtype=np.int64)
+        if tau.size and (tau.min() < -1 or tau.max() > self.cap):
+            raise ValueError(
+                f"tau must lie in [-1, cap = {self.cap}], got {tau.min()} .. {tau.max()}")
         tau.flags.writeable = False
         object.__setattr__(self, "tau", tau)
 
@@ -208,46 +215,61 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
                    domain=_DOMAIN_PASSAGE, snaps=None):
     """Passage times of trajectories index0 .. index0 + count - 1 of ``domain``.
 
+    The range streams through one resident batch of at most DEFAULT_BATCH rows.
+    Each refill drops the rows that finished or reached the cap and admits the
+    next trajectories in their place, each born at the current step, so a row's
+    tau is its age (steps since its birth) at its first hit. Once the range is
+    fully admitted and at most SCALAR_TAIL rows are left, they finish in the
+    scalar lane.
+
     ``snaps``, a dict keyed by step counts, receives the positions of all rows
-    after each of those steps. It is for the horizon lane, where no row is
-    absorbed, so such a chunk never hands rows to the scalar tail.
+    after each of those steps. It is for the horizon lane, where every row is
+    admitted at step 0 and none is absorbed, so such a chunk never hands rows
+    to the scalar tail.
     """
     taus = np.full(count, -1, dtype=np.int64)
     if start_pos <= level:
         taus[:] = 0
         return taus
-    gens = _streams(master_seed, domain, index0, count)
-    x = np.full(count, float(start_pos))
-    lab = np.full(count, start_li, dtype=np.int64)
-    orig = np.arange(count)
-    done = np.zeros(count, dtype=bool)
-    # most walks end within a few dozen steps: the loop starts on a used-up
-    # block (cursor == width), so its first refill draws _FIRST_BLOCK per row
+    resident, tail = (DEFAULT_BATCH, SCALAR_TAIL) if snaps is None else (count, 0)
+    gens = []
+    x = np.empty(0)
+    lab = np.empty(0, dtype=np.int64)
+    orig = np.empty(0, dtype=np.int64)
+    born = np.empty(0, dtype=np.int64)
+    done = np.empty(0, dtype=bool)
+    # the loop starts on a used-up block (cursor == width), so its first refill
+    # admits the first rows
     width = cursor = _FIRST_BLOCK // 2
-    buf = np.empty((count, 0))
-    steps = 0
-
-    def scalar_tail():
-        # few survivors: per-trajectory scalar loops beat batch overhead
-        for row in range(len(orig)):
-            if not done[row]:
-                taus[orig[row]] = _finish_scalar(
-                    model, float(x[row]), int(lab[row]), level, cap, steps,
-                    gens[row], buf[row, cursor:].tolist(), width, block,
-                )
-
-    if count <= SCALAR_TAIL and snaps is None:
-        scalar_tail()
-        return taus
-    while steps < cap:
+    buf = np.empty((0, 0))
+    steps = admitted = 0
+    while True:
         if cursor == width:
-            if done.any():
-                # drop the finished rows here, where the block is redrawn anyway
-                keep = ~done
-                x, lab, orig, done = x[keep], lab[keep], orig[keep], done[keep]
+            # drop the finished rows and the censored ones (age at the cap) here,
+            # where the block is redrawn anyway, and admit new rows in their place
+            keep = ~done & (steps - born < cap)
+            if not keep.all():
+                x, lab, orig, born = x[keep], lab[keep], orig[keep], born[keep]
                 gens = [g for g, k in zip(gens, keep) if k]
+            new = min(resident - len(orig), count - admitted)
+            if new:
+                gens += _streams(master_seed, domain, index0 + admitted, new)
+                x = np.concatenate([x, np.full(new, float(start_pos))])
+                lab = np.concatenate([lab, np.full(new, start_li, dtype=np.int64)])
+                orig = np.concatenate([orig, np.arange(admitted, admitted + new)])
+                born = np.concatenate([born, np.full(new, steps)])
+                admitted += new
+                # most walks end within a few dozen steps: new rows start on
+                # _FIRST_BLOCK uniforms
+                width = _FIRST_BLOCK // 2
             rows = len(orig)
-            width = min(2 * width, block, max(_FIRST_BLOCK, BLOCK_UNIFORMS // rows), cap - steps)
+            done = np.zeros(rows, dtype=bool)
+            if admitted == count and rows <= tail:
+                buf, cursor = np.empty((rows, 0)), 0  # the tail draws its own uniforms
+                break
+            # born ascends, so row 0 is the oldest: no row is stepped past the cap
+            width = min(2 * width, block, max(_FIRST_BLOCK, BLOCK_UNIFORMS // rows),
+                        cap - (steps - int(born[0])))
             if buf.shape != (rows, width):
                 # free the old block (u is a view of it) before allocating the next one
                 u = buf = None
@@ -265,15 +287,19 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
         # where the least position hits
         if np.fmin.reduce(x) <= level:
             newly = x <= level
-            taus[orig[newly]] = steps
+            taus[orig[newly]] = steps - born[newly]
             done |= newly
             x[newly] = np.inf
-            n_done = np.count_nonzero(done)
-            if n_done == len(orig):
+            live = len(orig) - np.count_nonzero(done)
+            if admitted == count and live <= tail:
                 break
-            if len(orig) - n_done <= SCALAR_TAIL:
-                scalar_tail()
-                break
+            if not live:
+                cursor = width  # admit the next rows now
+    # few survivors: per-trajectory scalar loops beat batch overhead
+    for row in np.flatnonzero(~done).tolist():
+        taus[orig[row]] = _finish_scalar(model, float(x[row]), int(lab[row]), level, cap,
+                                         steps - int(born[row]), gens[row],
+                                         buf[row, cursor:].tolist(), width, block)
     return taus
 
 
@@ -302,10 +328,11 @@ def sample_passage_times(
 ) -> PassageTimes:
     """n independent passage times from per-trajectory streams.
 
-    The trajectories are stepped in chunks of at most DEFAULT_BATCH, split
-    evenly over ``workers`` processes; no more processes start than there
-    are chunks or CPUs. Output is identical for any ``workers``; it only
-    trades memory and processes against speed.
+    Each of ``workers`` processes steps one contiguous range of
+    ``ceil(n / workers)`` trajectories, with at most DEFAULT_BATCH of them
+    resident at once; no more processes start than there are ranges or
+    CPUs. Output is identical for any ``workers``; it only trades memory and
+    processes against speed.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -322,7 +349,7 @@ def sample_passage_times(
         raise ValueError(f"level must be finite, got {level!r}")
 
     workers = min(workers, os.cpu_count() or 1)
-    size = max(1, min(DEFAULT_BATCH, math.ceil(n / workers)))
+    size = max(1, math.ceil(n / workers))
     args = [(model, pos, li, level, cap, master_seed, i0, min(size, n - i0), DEFAULT_BLOCK)
             for i0 in range(0, n, size)]
     if workers > 1 and len(args) > 1:

@@ -37,6 +37,19 @@ def synthetic_samples(values, cap=10**9):
     return PassageTimes(np.asarray(values, dtype=np.int64), cap)
 
 
+def replayed_tau(seed, k, cap):
+    """tau = min{n : X_n <= 5} of CRW trajectory k from (30, 1), replayed alone
+    one uniform per step from its own stream through ``step_scalar``; -1 when
+    it does not hit within ``cap`` steps."""
+    u = sim._stream(seed, sim._DOMAIN_PASSAGE, k).random(cap)
+    x, li = 30.0, CRW.label_index(1)
+    for t in range(cap):
+        x, li = CRW.step_scalar(x, li, float(u[t]))
+        if x <= 5.0:
+            return t + 1
+    return -1
+
+
 def peak_bytes(run):
     """The most memory that ``run()`` held at once, as tracemalloc counts it."""
     tracemalloc.start()
@@ -50,8 +63,8 @@ def peak_bytes(run):
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Stands in for the process pool and starts no process: records each
-    pool's ``max_workers`` and each chunk's (first index, count), and steps
-    the chunks in this process."""
+    pool's ``max_workers`` and each range's (first index, count), and steps
+    the ranges in this process."""
     record = SimpleNamespace(max_workers=[], chunks=[])
 
     class InlineExecutor:
@@ -89,6 +102,11 @@ class TestPassageSampling:
             (1, {"BLOCK_UNIFORMS": 64}),    # every block at the 16-uniform floor
             (1, {"BLOCK_UNIFORMS": 1000}),  # odd widths (1000 // rows) once few rows are left
             (2, {"BLOCK_UNIFORMS": 1000, "DEFAULT_BATCH": 37}),
+            # fewer resident rows than trajectories: rows are admitted as others finish
+            (1, {"DEFAULT_BATCH": 8, "SCALAR_TAIL": 0}),
+            (1, {"DEFAULT_BATCH": 8, "BLOCK_UNIFORMS": 64}),
+            (1, {"DEFAULT_BATCH": 37, "SCALAR_TAIL": 0}),
+            (2, {"DEFAULT_BATCH": 37, "BLOCK_UNIFORMS": 64}),
         ):
             with monkeypatch.context() as patch:
                 for name, value in constants.items():
@@ -111,7 +129,7 @@ class TestPassageSampling:
     def test_processes_bounded_by_chunks_and_cpus(self, monkeypatch, inline_pool):
         serial = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=2000, n=3, master_seed=9)
         for cpus, workers, n, expected in (
-            (64, 1000, 3, [3]),     # one process per chunk of one
+            (64, 1000, 3, [3]),     # one process per range of one
             (4, 1000, 300, [4]),    # one per CPU
             (1, 1000, 300, []),     # one CPU: no pool at all
             (None, 8, 300, []),     # CPU count unknown: taken as 1
@@ -156,14 +174,45 @@ class TestPassageSampling:
         cap = 50_000
         samples = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=cap, n=25, master_seed=2)
         for k, tau in enumerate(samples.tau.tolist()):
-            u = sim._stream(2, sim._DOMAIN_PASSAGE, k).random(cap)
-            x, li, first_hit = 30.0, CRW.label_index(1), None
-            for t in range(cap):
-                x, li = CRW.step_scalar(x, li, float(u[t]))
-                if x <= 5.0:
-                    first_hit = t + 1
-                    break
-            assert tau == (-1 if first_hit is None else first_hit)
+            assert tau == replayed_tau(2, k, cap)
+
+    def test_admitted_rows_censor_at_their_own_cap(self, monkeypatch):
+        # 16 resident rows for 300 trajectories: rows admitted at different
+        # steps reach the cap at different steps, and each tau and censoring
+        # must match its trajectory replayed alone from its own stream
+        monkeypatch.setattr(sim, "DEFAULT_BATCH", 16)
+        cap, resident = 300, 16
+        samples = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=cap, n=300, master_seed=6)
+        for k, tau in enumerate(samples.tau.tolist()):
+            assert tau == replayed_tau(6, k, cap), k
+        # censored rows among the first batch (born at step 0) and among rows
+        # admitted later, and hits in both
+        for part in (samples.tau[:resident], samples.tau[resident:]):
+            assert (part == -1).any() and (part > 0).any()
+
+    def test_resident_rows_stay_within_default_batch(self, monkeypatch):
+        monkeypatch.setattr(sim, "DEFAULT_BATCH", 24)
+        step_batch = type(CRW).step_batch
+        widths = []
+
+        def counting(self, x, lab, u):
+            widths.append(len(x))
+            return step_batch(self, x, lab, u)
+
+        monkeypatch.setattr(type(CRW), "step_batch", counting)
+        sample_passage_times(CRW, State(30.0, 1), 5.0, cap=5000, n=5 * 24, master_seed=3)
+        assert max(widths) == 24
+
+    def test_admitting_rows_keeps_memory_at_one_resident_batch(self):
+        # a range of 4x DEFAULT_BATCH trajectories holds one resident batch's
+        # streams (about 1 kB each) and block, not the whole range's streams:
+        # a 16384-row batch would hold 13 MB of streams beside its block
+        model = make_crw(0.6, 1.5, 1.5)  # transient: almost every row reaches the cap
+        rows = sim.DEFAULT_BATCH
+        streams_bytes = peak_bytes(lambda: sim._streams(1, sim._DOMAIN_PASSAGE, 0, rows))
+        peak = peak_bytes(lambda: sim._passage_chunk(
+            model, 50.0, model.label_index(1), 10.0, 600, 1, 0, 4 * rows, sim.DEFAULT_BLOCK))
+        assert peak < 1.3 * (sim.BLOCK_UNIFORMS * 8 + streams_bytes)
 
     def test_wider_block_replaces_the_old_one(self):
         # the old block and its column view are freed before the wider block
@@ -253,6 +302,12 @@ class TestPassageTimes:
         assert times.steps.tolist() == [0, 7, 10, 3]
         with pytest.raises(ValueError):
             times.tau[0] = 5
+
+    @pytest.mark.parametrize("tau", [[-2], [0, 11], [3, -1, -5]])
+    def test_refuses_tau_outside_minus_one_to_cap(self, tau):
+        with pytest.raises(ValueError, match="tau must lie in"):
+            PassageTimes(tau, cap=10)
+        PassageTimes([-1, 0, 10], cap=10)  # the bounds themselves are valid
 
     def test_copies_its_input(self):
         tau = np.array([1, -1, 4])
