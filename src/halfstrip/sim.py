@@ -16,13 +16,13 @@ vectorised over k) and hands them to PCG64, so the streams are exactly those
 of the scheme. A trajectory consumes exactly one uniform per step
 (deterministic steps included), in stream order, so its output is a pure
 function of (model, start, level, cap, master_seed, index). Uniforms are
-pre-drawn per trajectory in blocks. The block starts at 16 uniforms per row,
-starts again at 16 whenever rows are admitted, and doubles at each other
-refill, but never past DEFAULT_BLOCK, never past the oldest row's cap, and
-never past BLOCK_UNIFORMS uniforms for the whole batch (unless 16 per row
-exceed that budget). Block sizes, batched stepping, resident rows and worker
-counts only change scheduling and how many pre-drawn uniforms are discarded
--- never any output byte.
+pre-drawn per trajectory in blocks. The block starts at 16 uniforms per row
+and doubles at each refill after a block in which at most half the rows
+finished (otherwise it keeps its width), but never past DEFAULT_BLOCK, never
+past the oldest row's cap, and never past BLOCK_UNIFORMS uniforms for the
+whole batch (unless 16 per row exceed that budget). Block sizes, batched
+stepping, resident rows and worker counts only change scheduling and how many
+pre-drawn uniforms are discarded -- never any output byte.
 
 Censoring
 ---------
@@ -241,10 +241,13 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
     # the loop starts on a used-up block (cursor == width), so its first refill
     # admits the first rows
     width = cursor = _FIRST_BLOCK // 2
-    buf = np.empty((0, 0))
+    buf = store = np.empty(0)
     steps = admitted = 0
     while True:
         if cursor == width:
+            # a block in which more than half the rows hit was too wide for them
+            # (they sat out its rest at +inf): the next one is no wider
+            grow = 2 * np.count_nonzero(done) <= len(done)
             # drop the finished rows and the censored ones (age at the cap) here,
             # where the block is redrawn anyway, and admit new rows in their place
             keep = ~done & (steps - born < cap)
@@ -259,21 +262,22 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
                 orig = np.concatenate([orig, np.arange(admitted, admitted + new)])
                 born = np.concatenate([born, np.full(new, steps)])
                 admitted += new
-                # most walks end within a few dozen steps: new rows start on
-                # _FIRST_BLOCK uniforms
-                width = _FIRST_BLOCK // 2
             rows = len(orig)
             done = np.zeros(rows, dtype=bool)
             if admitted == count and rows <= tail:
                 buf, cursor = np.empty((rows, 0)), 0  # the tail draws its own uniforms
                 break
             # born ascends, so row 0 is the oldest: no row is stepped past the cap
-            width = min(2 * width, block, max(_FIRST_BLOCK, BLOCK_UNIFORMS // rows),
-                        cap - (steps - int(born[0])))
-            if buf.shape != (rows, width):
-                # free the old block (u is a view of it) before allocating the next one
-                u = buf = None
-                buf = np.empty((rows, width))
+            width = min(2 * width if grow else width, block,
+                        max(_FIRST_BLOCK, BLOCK_UNIFORMS // rows), cap - (steps - int(born[0])))
+            if store.size < rows * width:
+                # free the old block (u and buf are views of it) before allocating
+                # a larger one; a smaller block reuses it, as freeing and
+                # reallocating 8 MB at each change of shape can leave the heap
+                # holding two
+                u = buf = store = None
+                store = np.empty(rows * width)
+            buf = store[:rows * width].reshape(rows, width)
             _refill(buf, gens)
             cursor = 0
         u = buf[:, cursor]

@@ -262,6 +262,36 @@ class TestPassageSampling:
         assert finished > 100 and sum(parked) > 0
         assert sum(parked) <= 15 * finished
 
+    def test_block_widens_only_while_most_rows_outlive_it(self, monkeypatch):
+        # a range of short walks keeps admitting rows that finish within a few
+        # steps: the block stays narrow, so finished rows are stepped at +inf
+        # fewer times than live ones; long-lived rows still widen it to the
+        # uniform budget
+        step_batch, refill = type(CRW).step_batch, sim._refill
+        stepped = {"parked": 0, "live": 0}
+        widths = []
+
+        def counting(self, x, lab, u):
+            parked = int(np.count_nonzero(x == np.inf))
+            stepped["parked"] += parked
+            stepped["live"] += len(x) - parked
+            return step_batch(self, x, lab, u)
+
+        def recording(buffer, gens):
+            widths.append(buffer.shape[1])
+            refill(buffer, gens)
+
+        monkeypatch.setattr(type(CRW), "step_batch", counting)
+        monkeypatch.setattr(sim, "_refill", recording)
+        n = 4 * sim.DEFAULT_BATCH
+        sample_passage_times(make_crw(0.6, -1.0, -1.0), State(12.0, 1), 10.0, cap=10_000, n=n,
+                             master_seed=1)
+        assert 0 < stepped["parked"] < stepped["live"]
+        widths.clear()
+        sample_passage_times(make_crw(0.6, 1.5, 1.5), State(50.0, 1), 10.0, cap=600, n=n,
+                             master_seed=1)
+        assert max(widths) == sim.BLOCK_UNIFORMS // sim.DEFAULT_BATCH
+
     def test_censoring_flags(self):
         samples = sample_passage_times(CRW, State(200.0, 1), 1.0, cap=50, n=20, master_seed=3)
         assert samples.tau.tolist() == [-1] * 20
