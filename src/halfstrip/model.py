@@ -140,6 +140,12 @@ class _StepTables:
         self.uniform_two = A == 2 and bool((counts == 2).all())
         self.last = np.arange(S) * A + counts - 1  # flat index of each line's last atom
         self.varying = self.has_inv or self.has_pow
+        # for the two-atom core of step_batch: each line's first-atom
+        # coefficients, and flat views that a flat atom index reads
+        self.const0 = self.const[:, 0].copy()
+        self.inv0 = self.inv[:, 0].copy()
+        self.jump_flat = self.jump.ravel()
+        self.next_flat = self.next.ravel()
         # plain-python rows, one per line and unpadded, for single states
         self.const_list = [line.p_const.tolist() for line in lines]
         self.inv_list = [line.p_inv.tolist() for line in lines]
@@ -262,8 +268,17 @@ class ChainModel:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "lines", tuple(self.lines))
         object.__setattr__(self, "_tables", _StepTables(self.lines, self.formula_floor))
-        object.__setattr__(self, "_override_top",
-                           max((pos for pos, _ in self.overrides), default=-math.inf))
+        override_top = max((pos for pos, _ in self.overrides), default=-math.inf)
+        object.__setattr__(self, "_override_top", override_top)
+        # the least position from which no bounded-x rule acts on a row: at or
+        # past the floor, every landing at or above 0 (so clip, reflect and
+        # reset are identities) and above every override state; lines of two
+        # atoms without pow terms step from there in step_batch's core
+        t = self._tables
+        core_from = None
+        if t.uniform_two and not t.has_pow:
+            core_from = max(t.safe_floor, t.trigger_top, math.nextafter(override_top, math.inf))
+        object.__setattr__(self, "_core_from", core_from)
 
     def label_index(self, label) -> int:
         try:
@@ -309,18 +324,38 @@ class ChainModel:
                 break
         return self._land(x, jump), nxt
 
-    def step_batch(self, x: np.ndarray, lab: np.ndarray, u: np.ndarray):
+    def step_batch(self, x: np.ndarray, lab: np.ndarray, u: np.ndarray,
+                   xmin: float | None = None):
         """One synchronous step for a batch of states, consuming one uniform each.
 
         Every step consumes exactly one uniform, including deterministic
         (single-atom or reset) steps; this keeps stream consumption a pure
         function of the trajectory and makes batching irrelevant to output.
+
+        ``xmin`` is a lower bound of the batch's least position (NaN rows
+        aside), such as a caller's own reduction of ``x``; without it the batch
+        is reduced here. Any lower bound gives the same bytes: it only gates
+        the rules that act at bounded ``x``, and a gate that opens applies its
+        rule row by row. When it puts every row past those rules and every line
+        has two atoms and no ``pow`` term, a short core steps the batch.
         """
         t = self._tables
         # the rules that act only at bounded x (floor, reset trigger, override
         # states) are skipped when the least position puts every row past them;
         # fmin ignores NaN rows, which no such rule changes either
-        xmin = np.fmin.reduce(x, initial=math.inf)
+        if xmin is None:
+            xmin = np.fmin.reduce(x, initial=math.inf)
+        core_from = self._core_from
+        if core_from is not None and xmin >= core_from:
+            # choose's two-atom branch and step_scalar's arithmetic, with every
+            # bounded-x rule an identity: only the first atom's probability is
+            # needed, and no landing needs a boundary rule
+            p0 = t.const0[lab]
+            if t.has_inv:
+                p0 += t.inv0[lab] / x
+            atom = lab + lab
+            atom += u >= p0
+            return t.jump_flat[atom] + x, t.next_flat[atom]
         atom = t.choose(x, lab, u, xmin)
         jump = t.jump.take(atom)
         nxt = t.next.take(atom)

@@ -20,7 +20,10 @@ pre-drawn per trajectory in blocks. The block starts at 16 uniforms per row
 and doubles at each refill after a block in which at most half the rows
 finished (otherwise it keeps its width), but never past DEFAULT_BLOCK, never
 past the oldest row's cap, and never past BLOCK_UNIFORMS uniforms for the
-whole batch (unless 16 per row exceed that budget). Block sizes, batched
+whole batch (unless 16 per row exceed that budget). The loop reduces the
+positions once per step for its hit test and passes that least position to
+``step_batch`` as the lower bound that gates its bounded-x rules; two-atom
+lines without ``pow`` terms then take its short core. Block sizes, batched
 stepping, resident rows and worker counts only change scheduling and how many
 pre-drawn uniforms are discarded -- never any output byte.
 
@@ -243,6 +246,7 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
     width = cursor = _FIRST_BLOCK // 2
     buf = store = np.empty(0)
     steps = admitted = 0
+    xmin = math.inf  # a lower bound of the resident rows' least position
     while True:
         if cursor == width:
             # a block in which more than half the rows hit was too wide for them
@@ -262,6 +266,7 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
                 orig = np.concatenate([orig, np.arange(admitted, admitted + new)])
                 born = np.concatenate([born, np.full(new, steps)])
                 admitted += new
+                xmin = min(xmin, float(start_pos))
             rows = len(orig)
             done = np.zeros(rows, dtype=bool)
             if admitted == count and rows <= tail:
@@ -282,14 +287,17 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
             cursor = 0
         u = buf[:, cursor]
         cursor += 1
-        x, lab = model.step_batch(x, lab, u)
+        x, lab = model.step_batch(x, lab, u, xmin)
         steps += 1
         if snaps is not None and steps in snaps:
             snaps[steps] = x.copy()
         # finished rows sit at +inf until the next refill drops them, so a plain
         # comparison finds first hits; the row-wise test runs only on a step
-        # where the least position hits
-        if np.fmin.reduce(x) <= level:
+        # where the least position hits. The same reduction gates the next
+        # step's bounded-x rules: setting rows to +inf, dropping rows and
+        # admitting them at start_pos (which lowers it) keep it a lower bound
+        xmin = np.fmin.reduce(x)
+        if xmin <= level:
             newly = x <= level
             taus[orig[newly]] = steps - born[newly]
             done |= newly

@@ -6,9 +6,11 @@ For random tabular models (clip, reflect and reset boundaries, ``inv_x`` and
 a batch with retired ``+inf`` rows and a strided column of uniforms) and the
 atom that ``distribution`` puts at ``u`` agree bit for bit. ``step_batch``
 skips the rules that act only at bounded ``x`` when its least position is past
-them; wide batches with and without rows at those rules agree with
-``step_scalar`` row by row. The shifted view's law is the base law with every
-jump moved by the offset difference.
+them, and steps two-atom lines without ``pow`` terms in a short core; wide
+batches with and without rows at those rules agree with ``step_scalar`` row by
+row, whether ``step_batch`` reduces the batch itself or is given its least
+position or ``-inf`` as the lower bound. The shifted view's law is the base
+law with every jump moved by the offset difference.
 """
 
 import math
@@ -64,7 +66,10 @@ def check_lanes(model, positions, extra_uniforms=()):
     xs = np.array([r[0] for r in rows])
     labs = np.array([r[1] for r in rows], dtype=np.int64)
     us = np.array([r[2] for r in rows])
-    mixed_x, mixed_lab = model.step_batch(xs, labs, us)
+    # the least position given as no bound, exactly and as -inf: any lower
+    # bound gives the same bytes
+    mixed = [model.step_batch(xs, labs, us, bound)
+             for bound in (None, np.fmin.reduce(xs), -math.inf)]
     # as the sampler steps: u is a strided column of a 2-D block, and rows
     # retired at +inf sit between live ones
     block = np.zeros((2 * len(rows), 4))
@@ -76,10 +81,13 @@ def check_lanes(model, positions, extra_uniforms=()):
     assert (strided_x[1::2] == np.inf).all()
     for k, (x, li, u, atom) in enumerate(rows):
         sx, sl = model.step_scalar(x, li, u)
-        bx, bl = model.step_batch(np.array([x]), np.array([li]), np.array([u]))
         where = (x, li, u)
-        assert bits(sx) == bits(bx[0]) == bits(mixed_x[k]) == bits(strided_x[2 * k]), where
-        assert sl == bl[0] == mixed_lab[k] == strided_lab[2 * k], where
+        for bound in (None, x, -math.inf):
+            bx, bl = model.step_batch(np.array([x]), np.array([li]), np.array([u]), bound)
+            assert bits(sx) == bits(bx[0]) and sl == bl[0], (where, bound)
+        for mixed_x, mixed_lab in mixed:
+            assert bits(sx) == bits(mixed_x[k]) and sl == mixed_lab[k], where
+        assert bits(sx) == bits(strided_x[2 * k]) and sl == strided_lab[2 * k], where
         assert bits(sx - x) == bits(atom.jump), where
         assert model.labels[sl] == atom.next_label, where
 
@@ -106,21 +114,47 @@ def _gate_spec(boundary):
     }
 
 
+def _two_atom_spec(boundary, floor, override_x):
+    """Two labels of two atoms each with ``inv_x`` terms and no ``pow`` term,
+    trigger 6 and one override state at (``override_x``, label 1). With floor
+    2, rows in [2, 6) step by the formula but can land below 0."""
+    return {
+        "type": "tabular", "labels": [0, 1], "floor": floor, "boundary": boundary,
+        "lines": {
+            "0": [{"jump": 3, "next": 1, "prob": {"const": 0.4, "inv_x": 0.5}},
+                  {"jump": -6, "next": 0, "prob": {"const": 0.6, "inv_x": -0.5}}],
+            "1": [{"jump": 1, "next": 0, "prob": {"const": 0.7, "inv_x": -0.3}},
+                  {"jump": -2, "next": 1, "prob": {"const": 0.3, "inv_x": 0.3}}],
+        },
+        "states": [{"x": override_x, "label": 1, "atoms": [
+            {"jump": 2, "next": 0, "prob": 0.5}, {"jump": -1, "next": 1, "prob": 0.5}]}],
+    }
+
+
 GATE_MODELS = {
     "clip": _gate_spec("clip"),
     "reflect": _gate_spec("reflect"),
     "reset": _gate_spec({"rule": "reset", "jump": 2, "label": 0}),
     "crw": {"type": "crw", "q": 0.6, "c_plus": 0.2, "c_minus": -0.3, "amp": 0.1},
+    # the short core's traffic: two atoms per line, no pow term
+    "two-atom-clip": _two_atom_spec("clip", 2.0, 1.0),
+    "two-atom-reflect": _two_atom_spec("reflect", 2.0, 1.0),
+    "two-atom-reset": _two_atom_spec({"rule": "reset", "jump": 1, "label": 1}, 10.0, 1.0),
+    "two-atom-override": _two_atom_spec("clip", 2.0, 30.0),
+    "two-atom-crw": {"type": "crw", "q": 0.6, "c_plus": 0.2, "c_minus": -0.3},
 }
 
 
 def check_batch_rows(model, xs, labs, us):
-    # the floor clamp keeps x = 0 rows from dividing by zero, even where they reset
+    # the floor clamp keeps x = 0 rows from dividing by zero, even where they
+    # reset; the least position given as no bound, exactly and as -inf
     with np.errstate(all="raise"):
-        bx, bl = model.step_batch(xs, labs, us)
+        stepped = [model.step_batch(xs, labs, us, bound)
+                   for bound in (None, np.fmin.reduce(xs), -math.inf)]
     for k, (x, li, u) in enumerate(zip(xs.tolist(), labs.tolist(), us.tolist())):
         sx, sl = model.step_scalar(x, li, u)
-        assert bits(sx) == bits(bx[k]) and sl == bl[k], (x, li, u)
+        for bx, bl in stepped:
+            assert bits(sx) == bits(bx[k]) and sl == bl[k], (x, li, u)
 
 
 @pytest.mark.parametrize("name", sorted(GATE_MODELS))
@@ -137,6 +171,8 @@ def test_batch_gates_agree_with_scalar_lane(name):
     us = rng.random(n)
     assert xs.min() > bound
     check_batch_rows(model, xs, labs, us)
+    # and uniforms at every atom's cumulative probability, past every bound
+    check_lanes(model, [bound + 0.5, bound + 17.25, 1e6])
 
     # one row below the floor, where u = const[0] picks atom 1 by the constant
     # law and atom 0 by the formula; one at 0, below the reset trigger; one on
@@ -146,6 +182,19 @@ def test_batch_gates_agree_with_scalar_lane(name):
     for k, (x, li, u) in enumerate(low):
         xs[7 * k + 3], labs[7 * k + 3], us[7 * k + 3] = x, li, u
     check_batch_rows(model, xs, labs, us)
+
+    # the gates one by one, each batch past the other two bounds: rows past
+    # the floor but some below the trigger (where clip and reflect move
+    # landings that go below 0, and reset acts), rows past the trigger but some
+    # below the floor, and rows past both but some on an override state
+    floor, trigger = model.formula_floor, t.trigger_top
+    for lo, hi, on_overrides in ((floor, trigger, False), (trigger, floor, False),
+                                 (max(floor, trigger), -math.inf, True)):
+        xs = lo + rng.uniform(0.0, bound + 2.0 - lo, n)
+        xs[:4] = np.linspace(lo, max(lo, hi), 4, endpoint=False)
+        for k, (pos, li) in enumerate(model.overrides if on_overrides else ()):
+            xs[4 + k], labs[4 + k], us[4 + k] = pos, li, 0.75
+        check_batch_rows(model, xs, labs, us)
 
 
 @pytest.mark.parametrize("name", sorted(GATE_MODELS))

@@ -33,19 +33,37 @@ REFLECTED = make_tabular({
 })
 
 
+# rows from (30, 0) pass an override state at (7, 1), the floor 5 and the
+# reset trigger 4 (line 0 at x < 4) on their way down to level 1
+SWITCHING = make_tabular({
+    "type": "tabular",
+    "labels": [0, 1],
+    "floor": 5.0,
+    "boundary": {"rule": "reset", "jump": 1, "label": 1},
+    "lines": {
+        "0": [{"jump": 1, "next": 0, "prob": {"const": 0.45, "inv_x": 0.3}},
+              {"jump": -4, "next": 1, "prob": {"const": 0.55, "inv_x": -0.3}}],
+        "1": [{"jump": 2, "next": 0, "prob": {"const": 0.5, "inv_x": -0.4}},
+              {"jump": -1, "next": 0, "prob": {"const": 0.5, "inv_x": 0.4}}],
+    },
+    "states": [{"x": 7.0, "label": 1, "atoms": [{"jump": 3, "next": 0, "prob": 1.0}]}],
+})
+
+
 def synthetic_samples(values, cap=10**9):
     return PassageTimes(np.asarray(values, dtype=np.int64), cap)
 
 
-def replayed_tau(seed, k, cap):
-    """tau = min{n : X_n <= 5} of CRW trajectory k from (30, 1), replayed alone
-    one uniform per step from its own stream through ``step_scalar``; -1 when
-    it does not hit within ``cap`` steps."""
+def replayed_tau(seed, k, cap, model=CRW, start=State(30.0, 1), level=5.0):
+    """tau = min{n : X_n <= level} of trajectory k of ``model`` from ``start``
+    (CRW from (30, 1) down to 5 by default), replayed alone one uniform per
+    step from its own stream through ``step_scalar``; -1 when it does not hit
+    within ``cap`` steps."""
     u = sim._stream(seed, sim._DOMAIN_PASSAGE, k).random(cap)
-    x, li = 30.0, CRW.label_index(1)
+    x, li = start.position, model.label_index(start.label)
     for t in range(cap):
-        x, li = CRW.step_scalar(x, li, float(u[t]))
-        if x <= 5.0:
+        x, li = model.step_scalar(x, li, float(u[t]))
+        if x <= level:
             return t + 1
     return -1
 
@@ -190,14 +208,55 @@ class TestPassageSampling:
         for part in (samples.tau[:resident], samples.tau[resident:]):
             assert (part == -1).any() and (part > 0).any()
 
+    def test_rows_crossing_bounded_rules_match_replayed_streams(self, monkeypatch):
+        # SWITCHING's rows step by the constant law below the floor, reset and
+        # leave an override state on their way down, so one range steps some
+        # batches in step_batch's two-atom core and the rest on the general path
+        monkeypatch.setattr(sim, "DEFAULT_BATCH", 16)
+        step_batch = type(SWITCHING).step_batch
+        paths = {"core": 0, "general": 0}
+
+        def counting(self, x, lab, u, xmin=None):
+            paths["core" if xmin >= self._core_from else "general"] += 1
+            return step_batch(self, x, lab, u, xmin)
+
+        monkeypatch.setattr(type(SWITCHING), "step_batch", counting)
+        cap, start = 400, State(30.0, 0)
+        samples = sample_passage_times(SWITCHING, start, 1.0, cap=cap, n=200, master_seed=5)
+        assert paths["core"] > 0 and paths["general"] > 0
+        for k, tau in enumerate(samples.tau.tolist()):
+            assert tau == replayed_tau(5, k, cap, SWITCHING, start, 1.0), k
+
+    @pytest.mark.parametrize("start", [50.0, 12.0])
+    def test_step_bound_never_exceeds_the_least_position(self, monkeypatch, start):
+        # the loop hands step_batch its reduction of the last step's positions
+        # as a lower bound of the least position, lowered to the start when it
+        # admits rows; a bound above it would skip a rule that some row needs.
+        # From 50 the rows are admitted in waves as the last ones are censored;
+        # from 12 many hit at once, and rows are admitted beside survivors that
+        # have climbed past the start
+        monkeypatch.setattr(sim, "DEFAULT_BATCH", 24)
+        step_batch = type(CRW).step_batch
+        gaps = []
+
+        def counting(self, x, lab, u, xmin=None):
+            gaps.append(np.fmin.reduce(x) - xmin)
+            return step_batch(self, x, lab, u, xmin)
+
+        monkeypatch.setattr(type(CRW), "step_batch", counting)
+        n = 4 * sim.DEFAULT_BATCH
+        sample_passage_times(make_crw(0.6, 1.5, 1.5), State(start, 1), 10.0, cap=600, n=n,
+                             master_seed=1)
+        assert len(gaps) > 600 and min(gaps) == 0.0
+
     def test_resident_rows_stay_within_default_batch(self, monkeypatch):
         monkeypatch.setattr(sim, "DEFAULT_BATCH", 24)
         step_batch = type(CRW).step_batch
         widths = []
 
-        def counting(self, x, lab, u):
+        def counting(self, x, lab, u, xmin=None):
             widths.append(len(x))
-            return step_batch(self, x, lab, u)
+            return step_batch(self, x, lab, u, xmin)
 
         monkeypatch.setattr(type(CRW), "step_batch", counting)
         sample_passage_times(CRW, State(30.0, 1), 5.0, cap=5000, n=5 * 24, master_seed=3)
@@ -252,9 +311,9 @@ class TestPassageSampling:
         step_batch = type(CRW).step_batch
         parked = []
 
-        def counting(self, x, lab, u):
+        def counting(self, x, lab, u, xmin=None):
             parked.append(int(np.count_nonzero(x == np.inf)))
-            return step_batch(self, x, lab, u)
+            return step_batch(self, x, lab, u, xmin)
 
         monkeypatch.setattr(type(CRW), "step_batch", counting)
         times = sample_passage_times(CRW, State(30.0, 1), 5.0, cap=20_000, n=300, master_seed=9)
@@ -271,11 +330,11 @@ class TestPassageSampling:
         stepped = {"parked": 0, "live": 0}
         widths = []
 
-        def counting(self, x, lab, u):
+        def counting(self, x, lab, u, xmin=None):
             parked = int(np.count_nonzero(x == np.inf))
             stepped["parked"] += parked
             stepped["live"] += len(x) - parked
-            return step_batch(self, x, lab, u)
+            return step_batch(self, x, lab, u, xmin)
 
         def recording(buffer, gens):
             widths.append(buffer.shape[1])
