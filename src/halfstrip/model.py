@@ -275,10 +275,15 @@ class ChainModel:
         # reset are identities) and above every override state; lines of two
         # atoms without pow terms step from there in step_batch's core
         t = self._tables
-        core_from = None
-        if t.uniform_two and not t.has_pow:
-            core_from = max(t.safe_floor, t.trigger_top, math.nextafter(override_top, math.inf))
-        object.__setattr__(self, "_core_from", core_from)
+        rules_top = max(t.safe_floor, t.trigger_top, math.nextafter(override_top, math.inf))
+        object.__setattr__(self, "_rules_top", rules_top)
+        object.__setattr__(self, "_core_from",
+                           rules_top if t.uniform_two and not t.has_pow else None)
+        # no step lowers a position by more than this: clip, reflect and the
+        # reset jump (>= 0) land at or above x + jump, where a line's or an
+        # override's jump is at least -descent (trigger_top is -min line jump)
+        override_drops = (-jump for atoms in self.overrides.values() for jump, _, _ in atoms)
+        object.__setattr__(self, "_descent", max(0.0, t.trigger_top, *override_drops))
 
     def label_index(self, label) -> int:
         try:

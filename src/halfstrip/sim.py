@@ -20,10 +20,15 @@ pre-drawn per trajectory in blocks. The block starts at 16 uniforms per row
 and doubles at each refill after a block in which at most half the rows
 finished (otherwise it keeps its width), but never past DEFAULT_BLOCK, never
 past the oldest row's cap, and never past BLOCK_UNIFORMS uniforms for the
-whole batch (unless 16 per row exceed that budget). The loop reduces the
-positions once per step for its hit test and passes that least position to
-``step_batch`` as the lower bound that gates its bounded-x rules; two-atom
-lines without ``pow`` terms then take its short core. Block sizes, batched
+whole batch (unless 16 per row exceed that budget). Each row of the block is
+padded to an odd number of 64-byte cache lines, so the column that one step
+reads does not fall on a handful of cache sets. The loop keeps a lower bound
+of the least position and passes it to ``step_batch``, where it gates the
+bounded-x rules (two-atom lines without ``pow`` terms then take its short
+core). No step lowers a position by more than the model's descent, so after
+each step the loop lowers the bound by that much and reduces the positions
+only once the bound no longer clears the level and the bounded-x rules; a
+first hit is therefore still found at its step. Block sizes, batched
 stepping, resident rows and worker counts only change scheduling and how many
 pre-drawn uniforms are discarded -- never any output byte.
 
@@ -48,7 +53,7 @@ from .model import State
 
 DEFAULT_BLOCK = 2048
 DEFAULT_BATCH = 4096  # resident rows per worker; each holds an RNG stream (about 1 kB)
-BLOCK_UNIFORMS = 2**20  # uniforms held by one batch's block (8 MB), unless 16 per row exceed it
+BLOCK_UNIFORMS = 2**20  # uniforms drawn per block (8 MB), unless 16 per row exceed it; row padding aside
 _FIRST_BLOCK = 16
 SCALAR_TAIL = 16
 _DOMAIN_PASSAGE = 0
@@ -246,7 +251,9 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
     width = cursor = _FIRST_BLOCK // 2
     buf = store = np.empty(0)
     steps = admitted = 0
-    xmin = math.inf  # a lower bound of the resident rows' least position
+    # xmin is a lower bound of the live rows' least position; below ceiling it
+    # may hide a hit or open a bounded-x rule's row-wise gate in step_batch
+    descent, ceiling = model._descent, max(level, model._rules_top)
     while True:
         if cursor == width:
             # a block in which more than half the rows hit was too wide for them
@@ -266,7 +273,6 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
                 orig = np.concatenate([orig, np.arange(admitted, admitted + new)])
                 born = np.concatenate([born, np.full(new, steps)])
                 admitted += new
-                xmin = min(xmin, float(start_pos))
             rows = len(orig)
             done = np.zeros(rows, dtype=bool)
             if admitted == count and rows <= tail:
@@ -275,38 +281,46 @@ def _passage_chunk(model, start_pos, start_li, level, cap, master_seed, index0, 
             # born ascends, so row 0 is the oldest: no row is stepped past the cap
             width = min(2 * width if grow else width, block,
                         max(_FIRST_BLOCK, BLOCK_UNIFORMS // rows), cap - (steps - int(born[0])))
-            if store.size < rows * width:
+            # rows an odd number of 64-byte lines apart: a power-of-two stride
+            # would map each step's column onto a handful of cache sets
+            stride = 8 * (-(-width // 8) | 1)
+            if store.size < rows * stride:
                 # free the old block (u and buf are views of it) before allocating
                 # a larger one; a smaller block reuses it, as freeing and
                 # reallocating 8 MB at each change of shape can leave the heap
                 # holding two
                 u = buf = store = None
-                store = np.empty(rows * width)
-            buf = store[:rows * width].reshape(rows, width)
+                store = np.empty(rows * stride)
+            buf = store[:rows * stride].reshape(rows, stride)[:, :width]
             _refill(buf, gens)
             cursor = 0
+            xmin = float(np.fmin.reduce(x))  # exact again once rows left and joined
         u = buf[:, cursor]
         cursor += 1
         x, lab = model.step_batch(x, lab, u, xmin)
         steps += 1
         if snaps is not None and steps in snaps:
             snaps[steps] = x.copy()
-        # finished rows sit at +inf until the next refill drops them, so a plain
-        # comparison finds first hits; the row-wise test runs only on a step
-        # where the least position hits. The same reduction gates the next
-        # step's bounded-x rules: setting rows to +inf, dropping rows and
-        # admitting them at start_pos (which lowers it) keep it a lower bound
-        xmin = np.fmin.reduce(x)
-        if xmin <= level:
-            newly = x <= level
-            taus[orig[newly]] = steps - born[newly]
-            done |= newly
-            x[newly] = np.inf
-            live = len(orig) - np.count_nonzero(done)
-            if admitted == count and live <= tail:
-                break
-            if not live:
-                cursor = width  # admit the next rows now
+        # no row fell by more than descent (float rounding is monotone), so the
+        # lowered bound still holds, and the positions are reduced only once it
+        # no longer clears the level and the rules: every first hit is still
+        # found at its step. Finished rows sit at +inf until the next refill
+        # drops them, so a plain comparison finds first hits, and the bound is
+        # taken again over the live rows once they are parked
+        xmin -= descent
+        if xmin <= ceiling:
+            xmin = float(np.fmin.reduce(x))
+            if xmin <= level:
+                newly = x <= level
+                taus[orig[newly]] = steps - born[newly]
+                done |= newly
+                x[newly] = np.inf
+                live = len(orig) - np.count_nonzero(done)
+                if admitted == count and live <= tail:
+                    break
+                if not live:
+                    cursor = width  # admit the next rows now
+                xmin = float(np.fmin.reduce(x))
     # few survivors: per-trajectory scalar loops beat batch overhead
     for row in np.flatnonzero(~done).tolist():
         taus[orig[row]] = _finish_scalar(model, float(x[row]), int(lab[row]), level, cap,

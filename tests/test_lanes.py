@@ -197,6 +197,29 @@ def test_batch_gates_agree_with_scalar_lane(name):
         check_batch_rows(model, xs, labs, us)
 
 
+def _deep_override_spec():
+    """The two-atom clip model whose override state at 30 falls by 10, further
+    than any line's jump (6)."""
+    spec = _two_atom_spec("clip", 2.0, 30.0)
+    spec["states"][0]["atoms"][1]["jump"] = -10
+    return spec
+
+
+@pytest.mark.parametrize("name", [*sorted(GATE_MODELS), "deep-override"])
+def test_no_step_falls_by_more_than_the_descent(name):
+    # the sampler lowers its bound of the least position by the model's descent
+    # once per step: every atom of every law, at override states, reset steps
+    # and below the floor too, lands at or above x - descent
+    spec = _deep_override_spec() if name == "deep-override" else GATE_MODELS[name]
+    model = model_from_spec(spec)
+    states = [(x, li) for x in (0.0, 0.5, 1.0, 2.5, 5.0, 19.5, 20.0, 40.0, 1e6)
+              for li in range(len(model.labels))]
+    for x, li in states + list(model.overrides):
+        for atom in model.distribution(x, model.labels[li]).atoms:
+            assert atom.jump >= -model._descent, (x, li, atom)
+    assert model._descent == (10.0 if name == "deep-override" else model._tables.trigger_top)
+
+
 @pytest.mark.parametrize("name", sorted(GATE_MODELS))
 def test_empty_batch(name):
     model = model_from_spec(GATE_MODELS[name])

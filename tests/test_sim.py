@@ -50,6 +50,28 @@ SWITCHING = make_tabular({
 })
 
 
+TRANSIENT = make_crw(0.6, 1.5, 1.5)  # almost every row reaches the cap
+
+
+def _walk(boundary, up, down, p_up, states=()):
+    """A one-label walk with jumps ``up`` and ``down``."""
+    return make_tabular({
+        "type": "tabular",
+        "labels": [0],
+        "boundary": boundary,
+        "lines": {"0": [{"jump": up, "next": 0, "prob": p_up},
+                        {"jump": down, "next": 0, "prob": 1.0 - p_up}]},
+        "states": list(states),
+    })
+
+
+INEXACT = _walk("clip", 0.7, -0.3, 0.3)
+DEEP_OVERRIDE = _walk({"rule": "reset", "jump": 2, "label": 0}, 1, -1, 0.5, [
+    {"x": 6.0, "label": 0, "atoms": [{"jump": -5, "next": 0, "prob": 1.0}]}])
+STEEP_CLIP = _walk("clip", 1.5, -1.5, 0.5)
+STEEP_REFLECT = _walk("reflect", 1.5, -1.5, 0.5)
+
+
 def synthetic_samples(values, cap=10**9):
     return PassageTimes(np.asarray(values, dtype=np.int64), cap)
 
@@ -227,14 +249,28 @@ class TestPassageSampling:
         for k, tau in enumerate(samples.tau.tolist()):
             assert tau == replayed_tau(5, k, cap, SWITCHING, start, 1.0), k
 
-    @pytest.mark.parametrize("start", [50.0, 12.0])
-    def test_step_bound_never_exceeds_the_least_position(self, monkeypatch, start):
-        # the loop hands step_batch its reduction of the last step's positions
-        # as a lower bound of the least position, lowered to the start when it
-        # admits rows; a bound above it would skip a rule that some row needs.
-        # From 50 the rows are admitted in waves as the last ones are censored;
-        # from 12 many hit at once, and rows are admitted beside survivors that
-        # have climbed past the start
+    @pytest.mark.parametrize("model, start, level", [
+        # transient CRW: from 50 the rows are admitted in waves as the last ones
+        # are censored; from 12 many hit at once, and rows are admitted beside
+        # survivors that have climbed past the start
+        pytest.param(TRANSIENT, State(50.0, 1), 10.0, id="50.0"),
+        pytest.param(TRANSIENT, State(12.0, 1), 10.0, id="12.0"),
+        # jumps of +0.7 and -0.3: rounding builds up in the positions and in
+        # the lowered bound alike
+        pytest.param(INEXACT, State(8.0, 0), 1.0, id="inexact-jumps"),
+        # an override atom falls by 5, further than any line's jump
+        pytest.param(DEEP_OVERRIDE, State(12.0, 0), 0.5, id="override-descent"),
+        # rows at 1 land at -0.5 and are clipped to 0 or reflected to 0.5
+        pytest.param(STEEP_CLIP, State(10.0, 0), 0.0, id="clip"),
+        pytest.param(STEEP_REFLECT, State(10.0, 0), 0.5, id="reflect"),
+    ])
+    def test_step_bound_never_exceeds_the_least_position(self, monkeypatch, model, start,
+                                                          level):
+        # the loop hands step_batch a lower bound of the least position: the
+        # last reduction lowered by the model's descent once per step, and
+        # reduced again at each refill and whenever it reaches the level or the
+        # bounded-x rules; a bound above it would skip a rule that some row
+        # needs or a hit
         monkeypatch.setattr(sim, "DEFAULT_BATCH", 24)
         step_batch = type(CRW).step_batch
         gaps = []
@@ -244,10 +280,68 @@ class TestPassageSampling:
             return step_batch(self, x, lab, u, xmin)
 
         monkeypatch.setattr(type(CRW), "step_batch", counting)
-        n = 4 * sim.DEFAULT_BATCH
-        sample_passage_times(make_crw(0.6, 1.5, 1.5), State(start, 1), 10.0, cap=600, n=n,
-                             master_seed=1)
-        assert len(gaps) > 600 and min(gaps) == 0.0
+        n, cap = 4 * sim.DEFAULT_BATCH, 600
+        samples = sample_passage_times(model, start, level, cap=cap, n=n, master_seed=1)
+        assert len(gaps) > cap and min(gaps) == 0.0
+        for k, tau in enumerate(samples.tau.tolist()):
+            assert tau == replayed_tau(1, k, cap, model, start, level), k
+
+    @pytest.mark.parametrize("model, start", [
+        # the reflected walk down to 0 (criterion 5's shape): every live row
+        # sits at 1 or above, where the walk's two-atom core applies
+        pytest.param(REFLECTED, State(20.0, 0), id="reflected-walk"),
+        # the override state at 6 puts the core 6 above the level: a bound
+        # lowered by the descent of 5 can land between them
+        pytest.param(DEEP_OVERRIDE, State(12.0, 0), id="override-descent"),
+    ])
+    def test_bound_clears_the_rules_whenever_every_live_row_does(self, monkeypatch, model,
+                                                                   start):
+        # the bound is reduced again once the rows that hit are parked at
+        # +inf, and whenever it would open a bounded-x rule's row-wise gate, so
+        # a batch whose live rows are all past the rules takes the core
+        monkeypatch.setattr(sim, "DEFAULT_BATCH", 64)
+        step_batch = type(REFLECTED).step_batch
+        calls = {"live past the rules": 0, "core": 0}
+
+        def counting(self, x, lab, u, xmin=None):
+            if np.fmin.reduce(x) >= self._core_from:
+                calls["live past the rules"] += 1
+                calls["core"] += xmin >= self._core_from
+            return step_batch(self, x, lab, u, xmin)
+
+        monkeypatch.setattr(type(REFLECTED), "step_batch", counting)
+        samples = sample_passage_times(model, start, 0.0, cap=3000, n=300, master_seed=4)
+        assert (samples.tau > 0).sum() > 100
+        assert calls["live past the rules"] > 1000
+        assert calls["core"] == calls["live past the rules"]
+
+    @pytest.mark.parametrize("name, value", [("DEFAULT_BLOCK", 16), ("DEFAULT_BLOCK", 2048),
+                                             ("BLOCK_UNIFORMS", 1000)])
+    def test_block_rows_are_padded_to_an_odd_number_of_cache_lines(self, monkeypatch, name,
+                                                                     value):
+        # a row stride of a power of two maps each step's column of the block
+        # onto a few cache sets; each row takes the fewest 64-byte lines that
+        # hold it, plus one if that number is even, and is filled in place
+        monkeypatch.setattr(sim, name, value)
+        refill = sim._refill
+        widths = set()
+
+        def recording(buffer, gens):
+            rows, width = buffer.shape
+            assert rows == len(gens)
+            assert all(buffer[row].flags.c_contiguous for row in range(rows))
+            stride = buffer.strides[0]
+            assert stride % 64 == 0 and (stride // 64) % 2 == 1
+            assert stride - 128 < 8 * width <= stride
+            widths.add(width)
+            refill(buffer, gens)
+
+        monkeypatch.setattr(sim, "_refill", recording)
+        sample_passage_times(CRW, State(30.0, 1), 5.0, cap=20_000, n=40, master_seed=9)
+        if name == "DEFAULT_BLOCK":
+            assert max(widths) == value
+        else:
+            assert any(width % 8 for width in widths)
 
     def test_resident_rows_stay_within_default_batch(self, monkeypatch):
         monkeypatch.setattr(sim, "DEFAULT_BATCH", 24)
