@@ -9,12 +9,15 @@ coefficients in the expansions
     q_ij(x)      = q_ij + gamma_ij / x + o(1/x)
 
 are extracted by one least-squares fit of every series against [1, 1/x] on a
-geometric grid. For kernels that are exactly affine in 1/x the fit is exact
-to rounding; for anything else the scaled residuals say how credible the
-expansion is. Coefficients are arrays indexed by label position: ``d[i]`` is
-the line of ``labels[i]`` and ``gamma[i, j]`` the move from ``labels[i]`` to
-``labels[j]``; the limiting label chain's ``Q_limit`` and ``pi`` follow the
-same order.
+geometric grid. For a ``ChainModel`` on a grid past every bounded-x rule the
+series are summed in one pass over its kernel tables; ``point_moments``,
+which sums one state's ``distribution`` at a time, is the reference and the
+fallback for grids that reach bounded x. For kernels that are exactly affine
+in 1/x the fit is exact to rounding; for anything else the scaled residuals
+say how credible the expansion is. Coefficients are arrays indexed by label
+position: ``d[i]`` is the line of ``labels[i]`` and ``gamma[i, j]`` the move
+from ``labels[i]`` to ``labels[j]``; the limiting label chain's ``Q_limit``
+and ``pi`` follow the same order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .markov import (
     stationary_distribution,
     stochastic_matrix,
 )
-from .model import parse_labels, parse_number
+from .model import PROB_SUM_TOL, parse_labels, parse_number
 
 DEFAULT_GRID = tuple(float(x) for x in np.logspace(2, 5, 7))
 RESIDUAL_THRESHOLD = 1e-6
@@ -85,6 +88,53 @@ def point_moments(model, x: float) -> PointMoments:
             if not math.isfinite(value):
                 raise ValueError(f"the step's {name} at ({float(x)!r}, {label!r}) is not finite")
     return PointMoments(float(x), np.array(mu), np.array(sigma2), np.array(mu_cross), np.array(q))
+
+
+def _table_series(model, grid: np.ndarray) -> np.ndarray | None:
+    """The fit's series, one row per grid point in the layout of
+    ``fit_asymptotics``, summed from a ``ChainModel``'s kernel tables.
+
+    From ``model._rules_top`` up no boundary rule, reset or override acts and
+    every law is the closed form, so each atom's probability and increment
+    are the values ``distribution`` builds, and the sums run over atom slots
+    in declared order as ``point_moments``' loop does: every entry is
+    bit-identical. A padded slot adds +0.0 to sums that start at +0.0.
+
+    Returns None, so that ``point_moments`` decides and raises its own
+    message, when a grid point is below ``_rules_top``, the model has no
+    tables, or a check of ``IncrementDistribution`` or ``point_moments``
+    could fail. The probability sum here may round differently from the
+    numpy sum of 8 or more atoms, so it defers from half the tolerance up.
+    """
+    t = getattr(model, "_tables", None)
+    if t is None or grid[0] < model._rules_top:
+        return None
+    xs = grid[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.broadcast_to(t.const, (len(grid), *t.const.shape))
+        if t.has_inv:
+            P = P + t.inv / xs
+        if t.has_pow:
+            # libm's pow, as _StepTables takes it, not numpy's
+            xp = np.array([x**t.neg_exp for x in grid.tolist()])
+            P = P + t.pow * xp[:, None, None]
+        J = (xs + t.jump) - xs
+        G, n, A = P.shape
+        total, mu, sigma2 = np.zeros((3, G, n))
+        mu_cross, q = np.zeros((2, G, n, n))
+        rows = np.arange(n)
+        for k in range(A):
+            p, jump, nxt = P[:, :, k], J[:, :, k], t.next[:, k]
+            pj = p * jump
+            total += p
+            mu += pj
+            sigma2 += p * (jump * jump)
+            mu_cross[:, rows, nxt] += pj
+            q[:, rows, nxt] += p
+    if (P.min() < -1e-15 or np.abs(total - 1.0).max() > PROB_SUM_TOL / 2
+            or not (np.isfinite(mu).all() and np.isfinite(sigma2).all())):
+        return None
+    return np.concatenate([mu, sigma2, mu_cross.reshape(G, -1), q.reshape(G, -1)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -227,9 +277,12 @@ def fit_asymptotics(
     """Fit expansion coefficients from exact kernel moments on a position grid.
 
     The grid must hold at least 4 finite, positive points spanning at least
-    two decades. Every moment series is fitted against [1, 1/x] in one
-    least-squares solve; a family's residual is the worst over its series of
-    max_x |series - fit| * x, the natural size of an o(1/x) violation.
+    two decades. The moment series come from the kernel tables in one pass
+    when the grid lies past every bounded-x rule, and from ``point_moments``
+    at each grid point otherwise; both give the same bits. Every moment
+    series is fitted against [1, 1/x] in one least-squares solve; a family's
+    residual is the worst over its series of max_x |series - fit| * x, the
+    natural size of an o(1/x) violation.
     Residuals above ``residual_threshold`` produce warnings (the expansion
     hypothesis looks violated), never a failure.
     """
@@ -243,11 +296,13 @@ def fit_asymptotics(
 
     labels = model.labels
     n = len(labels)
-    moments = [point_moments(model, x) for x in grid]
     # one column per series: mu (n), sigma2 (n), mu_cross (n*n), q (n*n)
-    series = np.array([
-        np.concatenate([m.mu, m.sigma2, m.mu_cross.ravel(), m.q.ravel()]) for m in moments
-    ])
+    series = _table_series(model, grid)
+    if series is None:
+        series = np.array([
+            np.concatenate([m.mu, m.sigma2, m.mu_cross.ravel(), m.q.ravel()])
+            for m in (point_moments(model, x) for x in grid)
+        ])
     inv = 1.0 / grid
     design = np.column_stack([np.ones_like(grid), inv])
     beta, *_ = np.linalg.lstsq(design, series, rcond=None)

@@ -15,6 +15,8 @@ order; the labels themselves live on the model and the coefficients.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
@@ -69,20 +71,26 @@ def positive_distribution(weights, n: int) -> np.ndarray:
 
 
 def is_irreducible(Q: np.ndarray, support_tol: float = 1e-12) -> bool:
-    """True iff the digraph of entries > support_tol is strongly connected."""
-    adj = Q > support_tol
+    """True iff the digraph of entries > support_tol is strongly connected:
+    label 0 reaches every label along its edges and against them. The search
+    runs on Python lists and stops once every label is reached, which for a
+    dense support is after the first row."""
+    adj = (Q > support_tol).tolist()
 
-    def reachable(a: np.ndarray) -> np.ndarray:
-        seen = np.zeros(a.shape[0], dtype=bool)
+    def reaches_all(rows: list) -> bool:
+        labels = range(len(rows))
+        seen = [False] * len(rows)
         seen[0] = True
-        frontier = [0]
-        while frontier:
-            new = a[frontier].any(axis=0) & ~seen
-            seen |= new
-            frontier = np.flatnonzero(new).tolist()
-        return seen
+        stack, unseen = [0], len(rows) - 1
+        while stack and unseen:
+            for j in compress(labels, rows[stack.pop()]):
+                if not seen[j]:
+                    seen[j] = True
+                    unseen -= 1
+                    stack.append(j)
+        return not unseen
 
-    return bool(reachable(adj).all() and reachable(adj.T).all())
+    return reaches_all(adj) and reaches_all(list(zip(*adj)))
 
 
 def require_irreducible(Q: np.ndarray) -> None:

@@ -146,6 +146,25 @@ class TestMalformedSpecs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    # the line's inv_x terms sum to 5e-10, inside the spec's renormalization
+    # tolerance, so the probabilities sum to 1 + 5e-12 at x = 100
+    SUM_DEFECT = {"type": "tabular", "labels": [0], "lines": {"0": [
+        {"jump": 1, "next": 0, "prob": {"const": 0.5, "inv_x": 2.5e-10}},
+        {"jump": -1, "next": 0, "prob": {"const": 0.5, "inv_x": 2.5e-10}}]}}
+
+    @pytest.mark.parametrize("command", ["analyze", "fit"])
+    @pytest.mark.parametrize("text,message", [
+        (HUGE_JUMP, "the step's second moment at (100.0, 0) is not finite"),
+        (json.dumps(SUM_DEFECT), "atom probabilities sum to np.float64(1.000000000005)"),
+    ], ids=["huge-jump", "sum-defect"])
+    def test_fit_names_the_first_bad_state(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main([command, "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("refined,verdict", [(False, "Indeterminate"),
                                                  (True, "BoundaryNullRecurrent")])
     def test_refined_rates_hold_is_read_as_given(self, tmp_path, capsys, refined, verdict):

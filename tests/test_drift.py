@@ -1,17 +1,23 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfstrip import (
     AsymptoticCoefficients,
     RegimeTag,
+    ShiftedChainModel,
     check_regime,
     fit_asymptotics,
     make_crw,
     make_tabular,
     point_moments,
 )
+from halfstrip import drift
+from test_lanes import POW_REPRO, _centered
 
 CRW = make_crw(0.6, 0.2, 0.2)
 
@@ -144,6 +150,118 @@ class TestFitAsymptotics:
             make_crw(0.6, 0.2, 0.2, delta=0.5, correction_amplitude=1.0)
         )
         assert any("looks violated" in w for w in bumped.warnings)
+
+
+@st.composite
+def tabular_fits(draw):
+    """A tabular model (1-9 atoms per line, non-integer jumps, ``inv_x`` and
+    ``pow`` terms, clip, reflect or reset, override states) and a fit grid
+    that starts below or above the model's bounded-x rules."""
+    n = draw(st.integers(1, 3))
+    labels = list(range(n))
+    lines = {}
+    for li in labels:
+        count = draw(st.integers(1, 9))
+        weights = draw(st.lists(st.integers(1, 5), min_size=count, max_size=count))
+        coeff = st.floats(-0.05, 0.05)
+        invs = _centered(draw(st.lists(coeff, min_size=count, max_size=count)))
+        pows = _centered(draw(st.lists(coeff, min_size=count, max_size=count)))
+        lines[str(li)] = [
+            {"jump": draw(st.floats(-4.0, 4.0)),
+             # the first atom of each line moves to the next label: all reachable
+             "next": (li + 1) % n if k == 0 else draw(st.sampled_from(labels)),
+             "prob": {"const": weights[k] / sum(weights), "inv_x": invs[k], "pow": pows[k]}}
+            for k in range(count)
+        ]
+    boundary = draw(st.sampled_from(["clip", "reflect", "reset"]))
+    if boundary == "reset":
+        boundary = {"rule": "reset", "jump": draw(st.floats(0.0, 3.0)),
+                    "label": draw(st.sampled_from(labels))}
+    states = [
+        {"x": draw(st.one_of(st.floats(0.0, 50.0), st.sampled_from([100.0, 1000.0]))),
+         "label": draw(st.sampled_from(labels)),
+         "atoms": [{"jump": draw(st.floats(0.0, 3.0)), "next": draw(st.sampled_from(labels)),
+                    "prob": 1.0}]}
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    # constant parts are at least 1/41 and the |inv_x| and |pow| terms stay
+    # below 0.011 from x = 16 on, so every probability stays in [0, 1]
+    model = make_tabular({
+        "type": "tabular", "labels": labels, "lines": lines, "boundary": boundary,
+        "delta": draw(st.floats(0.1, 2.0)), "floor": draw(st.floats(16.0, 40.0)),
+        "states": states,
+    })
+    # at, past, just below and far below the least position of the tables;
+    # a grid from 1 reaches the override states at 100 and 1000
+    top = model._rules_top
+    start = draw(st.one_of(st.sampled_from([top, math.nextafter(top, 0.0), top / 2, 1.0]),
+                           st.floats(top, 50.0 * top)))
+    grid = start * np.logspace(0, draw(st.sampled_from([2, 3, 4])), draw(st.integers(4, 7)))
+    return model, grid
+
+
+def stacked_point_moments(model, grid) -> np.ndarray:
+    """The fit's series built state by state: the reference for the tables."""
+    return np.array([
+        np.concatenate([m.mu, m.sigma2, m.mu_cross.ravel(), m.q.ravel()])
+        for m in (point_moments(model, x) for x in grid)
+    ])
+
+
+class TestTableSeries:
+    """``fit_asymptotics`` sums its series from the kernel tables when the grid
+    lies past every bounded-x rule; the sums are ``point_moments``' bit for bit."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(case=tabular_fits())
+    def test_bit_identical_to_point_moments(self, case):
+        model, grid = case
+        got = drift._table_series(model, grid)
+        if grid[0] < model._rules_top:
+            assert got is None
+        else:
+            want = stacked_point_moments(model, grid)
+            assert got is not None and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_pow_terms_from_libm(self):
+        # numpy's vectorised power and libm's pow() differ in the last bit at
+        # the first grid point, so its series would too
+        model = make_tabular(POW_REPRO)
+        grid = 21.799996820181047 * np.logspace(0, 2, 4)
+        want = stacked_point_moments(model, grid)
+        assert drift._table_series(model, grid).tobytes() == want.tobytes()
+
+    def test_default_grid_reads_no_state_law(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("point_moments called")
+
+        monkeypatch.setattr(drift, "point_moments", refuse)
+        co = fit_asymptotics(CRW)
+        assert co.d.tolist() == pytest.approx([0.2, -0.2], abs=1e-10)
+
+    def test_shifted_model_falls_back(self):
+        shifted = ShiftedChainModel(CRW, [0.5, 0.0])
+        grid = np.array(drift.DEFAULT_GRID)
+        assert drift._table_series(shifted, grid) is None
+        assert fit_asymptotics(shifted).labels == CRW.labels
+
+    @pytest.mark.parametrize("inv_sum,fast", [(4e-11, True), (8e-11, False)])
+    def test_sum_defect_near_the_tolerance(self, inv_sum, fast):
+        # the defect at x = 100 is inv_sum / 100, under PROB_SUM_TOL either
+        # way; from half of it up the tables defer to point_moments
+        model = make_tabular({
+            "type": "tabular", "labels": [0],
+            "lines": {"0": [
+                {"jump": 1, "next": 0, "prob": {"const": 0.5, "inv_x": inv_sum / 2}},
+                {"jump": -1, "next": 0, "prob": {"const": 0.5, "inv_x": inv_sum / 2}}]},
+        })
+        grid = np.array(drift.DEFAULT_GRID)
+        got = drift._table_series(model, grid)
+        assert (got is not None) == fast
+        if fast:
+            assert got.tobytes() == stacked_point_moments(model, grid).tobytes()
+        assert not fit_asymptotics(model).warnings
 
 
 class TestCoefficientsType:

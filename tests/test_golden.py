@@ -1,10 +1,14 @@
-"""Golden digests: the exact bytes of small ``simulate``, ``verify --lyapunov``
-and ``analyze`` runs, so that byte identity across versions is checked by the
-suite.
+"""Golden digests: the exact bytes of small ``simulate``, ``verify --lyapunov``,
+``analyze`` and ``fit`` runs, so that byte identity across versions is checked
+by the suite.
 
 The ``simulate`` and ``verify`` digests were recorded with commit 0be5c78, the
-``analyze`` digests with commit 3a79728. Outputs are pure functions of
-(inputs, seed, version); a change that moves any of these bytes changes the
+``analyze`` digests with commit 3a79728 and the ``fit`` digests with commit
+210c17c, when every fit read its series state by state through
+``point_moments``. The ``fit`` cases take the kernel tables on the default
+grid and fall back to ``point_moments`` on a grid that starts below the floor
+and on a model with an override state on the grid. Outputs are pure functions
+of (inputs, seed, version); a change that moves any of these bytes changes the
 program's output and must say so where it re-records the digest.
 """
 
@@ -52,6 +56,21 @@ ANALYZE_REPORTS = {
         "4f676603e4854e17b60225e53b6d170b4500b03b1178fad1a4e62b55647f0482",
 }
 
+# fit inputs: the default grid on the tables, a grid from 2 (below the
+# three-label model's floor 3) and an override state at 1000, a grid point
+THREE_LABELS_ABC = ANALYZE_SPECS["three-label-reset"]
+FIT_CASES = {
+    "crw-default-grid": (CRW_NULL, []),
+    "three-label-low-grid": (THREE_LABELS_ABC, ["--grid", "2,10,100,1000,1e5"]),
+    "three-label-override": ({**THREE_LABELS_ABC, "states": [{"x": 1000, "label": "b", "atoms": [
+        {"jump": 1, "next": "a", "prob": 0.5}, {"jump": -2, "next": "c", "prob": 0.5}]}]}, []),
+}
+FIT_REPORTS = {
+    "crw-default-grid": "450b0011626d9c7dc72aa7b0fbf12a1ae8f5631c55b5076d64a27a0a3ad8fd46",
+    "three-label-low-grid": "9dd47785034b105e1d606dd313c3baf05d037b7ccb8084cf3912cd62b70325d5",
+    "three-label-override": "0794e425305eff5fe94dbc60e9cc7bdd6a968d36ef1481247f3b0bedf0ecd36e",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -94,3 +113,12 @@ def test_analyze_report(tmp_path, monkeypatch, name, flag):
     argv = ["analyze", "--model", "model.json", "--out", "report.json"]
     assert main(argv + ([flag] if flag else [])) == 0
     assert sha256((tmp_path / "report.json").read_bytes()) == ANALYZE_REPORTS[name, flag]
+
+
+@pytest.mark.parametrize("name", sorted(FIT_REPORTS))
+def test_fit_report(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)  # the report records the model path as given
+    spec, flags = FIT_CASES[name]
+    (tmp_path / "model.json").write_text(json.dumps(spec))
+    assert main(["fit", "--model", "model.json", "--out", "fit.json", *flags]) == 0
+    assert sha256((tmp_path / "fit.json").read_bytes()) == FIT_REPORTS[name]

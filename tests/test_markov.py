@@ -85,6 +85,41 @@ class TestIrreducibility:
         Q = stochastic_matrix([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]], 3)
         assert not is_irreducible(Q)
 
+    @staticmethod
+    def closure_irreducible(Q, tol):
+        """Reference: the boolean transitive closure of the support is all true."""
+        reach = np.eye(len(Q), dtype=bool) | (Q > tol)
+        for _ in range(len(Q)):
+            reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+        return bool(reach.all())
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_closure_on_random_supports(self, rng, n):
+        for density in (0.1, 0.3, 0.6):
+            for _ in range(40):
+                support = rng.random((n, n)) < density
+                # entries at or below the tolerance are not edges
+                Q = np.where(support, rng.random((n, n)) + 1e-12, rng.choice([0.0, 1e-12], (n, n)))
+                for tol in (1e-12, 1e-9):
+                    assert is_irreducible(Q, tol) == self.closure_irreducible(Q, tol)
+
+    @pytest.mark.parametrize("cut", [None, 0, 150, 299])
+    def test_long_cycle(self, cut):
+        # 300 labels on one directed cycle: every label must be reached, and
+        # removing any one edge breaks it
+        n = 300
+        Q = np.zeros((n, n))
+        Q[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        if cut is not None:
+            Q[cut, (cut + 1) % n] = 0.0
+        assert is_irreducible(Q) == (cut is None)
+
+    def test_dense_300(self, rng):
+        Q = rng.random((300, 300)) + 0.01
+        assert is_irreducible(Q)
+        Q[:, 7] = 0.0  # nothing enters label 7
+        assert not is_irreducible(Q)
+
 
 class TestStationary:
     def test_symmetric_two_state(self):

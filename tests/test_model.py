@@ -12,7 +12,7 @@ from halfstrip import (
     model_from_spec,
     validate_model,
 )
-from halfstrip.model import LineLaw
+from halfstrip.model import _FLOOR_BAND, _FLOOR_SCAN_LIMIT, LineLaw, _range_ok, _scan_floor
 
 GRID = (10.0, 1e2, 1e3, 1e4, 1e5)
 
@@ -117,6 +117,63 @@ class TestMakeCrw:
                 probs = [a.prob for a in m.distribution(x, lab).atoms]
                 assert sum(probs) == pytest.approx(1.0, abs=1e-12)
                 assert min(probs) >= 0.0
+
+
+def bisect_floor(rows, delta):
+    """The least integer floor by plain bisection over [1, _FLOOR_SCAN_LIMIT],
+    or None past it: the reference for ``_scan_floor``'s galloping search."""
+    lo, hi = _FLOOR_BAND
+
+    def ok(x):
+        return all(_range_ok(c, b, g, delta, float(x), lo, hi) for c, b, g in rows)
+
+    if ok(1):
+        return 1
+    if not ok(_FLOOR_SCAN_LIMIT):
+        return None
+    low, high = 1, _FLOOR_SCAN_LIMIT
+    while high - low > 1:
+        mid = (low + high) // 2
+        if ok(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def scan_or_none(rows, delta):
+    try:
+        return _scan_floor(rows, delta)
+    except ModelSpecError as exc:
+        assert "too extreme" in str(exc)
+        return None
+
+
+class TestScanFloor:
+    @pytest.mark.parametrize("target", [
+        1, 2, 3, 9, 1000, 2**20, 2**20 + 1, _FLOOR_SCAN_LIMIT // 2 + 1,
+        _FLOOR_SCAN_LIMIT - 1, _FLOOR_SCAN_LIMIT, _FLOOR_SCAN_LIMIT + 1, 3 * _FLOOR_SCAN_LIMIT,
+    ])
+    def test_matches_bisection(self, target):
+        # p = 0.5 +- 0.49 target / x stays inside [0.01, 0.99] from about x = target on
+        b = 0.49 * target
+        rows = [(0.5, b, 0.0), (0.5, -b, 0.0)]
+        want = bisect_floor(rows, 1.0)
+        assert scan_or_none(rows, 1.0) == want
+        if target <= _FLOOR_SCAN_LIMIT - 1:
+            assert abs(want - target) <= 1
+        if target > _FLOOR_SCAN_LIMIT + 1:  # too extreme
+            assert want is None
+
+    def test_matches_bisection_on_random_rows(self, rng):
+        for _ in range(300):
+            k = int(rng.integers(1, 5))
+            rows = [(float(rng.uniform(0.02, 0.98)),
+                     float(rng.choice([-1, 1]) * 10 ** rng.uniform(-3, 7)),
+                     float(rng.choice([-1, 0, 1]) * 10 ** rng.uniform(-3, 7)))
+                    for _ in range(k)]
+            delta = float(rng.uniform(0.05, 2.0))
+            assert scan_or_none(rows, delta) == bisect_floor(rows, delta), (rows, delta)
 
 
 class TestGridInvariants:
