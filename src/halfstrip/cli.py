@@ -9,10 +9,13 @@ reports carry no timestamps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -59,10 +62,41 @@ def _load_json(path: str) -> tuple:
         raise ValueError(f"{path} is not valid JSON: {exc}")
 
 
+@contextlib.contextmanager
+def _output(path: str, newline: str | None = None):
+    """The one way the CLI opens a file for writing: a UTF-8 text stream over
+    ``path``, written in place from offset 0 and cut to length on close.
+
+    ``open(path, "w")`` truncates an existing file to zero before the rewrite,
+    which on ext4 mounted with ``auto_da_alloc`` likely forces the file's
+    writeback when it is closed (the effect is measured, not the mechanism):
+    rewriting the 449 ``analyze`` reports of one benchmark ``analyze-grid``
+    unit took 560 ms that way, against 408 ms written in place and about
+    370-400 ms writing no file (medians of 30 in-process rounds, 2-vCPU VM).
+    So the file is opened without ``O_TRUNC``, with ``open``'s mode and
+    umask, and once the new bytes are written it is cut at their end; only
+    regular files are cut, since ``/dev/null``, FIFOs and ttys refuse
+    ``ftruncate``. Neither way is atomic: a run killed between the write and
+    the cut can leave the old file's tail after a shorter new output, where
+    one killed under ``O_TRUNC`` leaves a truncated prefix. A completed run's
+    bytes are the same either way.
+
+    An ``OSError`` becomes ``ValueError("cannot write PATH: REASON")``.
+    """
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  encoding="utf-8", newline=newline) as fh:
+            yield fh
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _output(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -206,7 +240,7 @@ def cmd_simulate(args) -> int:
         workers=args.threads,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with _output(args.out, newline="") as fh:
             write_samples_csv(times, fh)
     else:
         write_samples_csv(times, sys.stdout)
@@ -353,7 +387,7 @@ def cmd_verify(args) -> int:
                     f"{row.leading!r},{'' if row.ratio is None else repr(row.ratio)}"
                 )
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with _output(args.out) as fh:
                 fh.write("nu,x,label,increment,leading,ratio\n")
                 fh.write("\n".join(lyap_rows) + "\n")
 

@@ -61,9 +61,9 @@ class IncrementDistribution:
             raise ValueError("atom list must be non-empty")
         probs = np.array([a.prob for a in atoms])
         if probs.min() < -1e-15:
-            raise ValueError(f"negative atom probability {probs.min()!r}")
+            raise ValueError(f"negative atom probability {float(probs.min())!r}")
         if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"atom probabilities sum to {probs.sum()!r}")
+            raise ValueError(f"atom probabilities sum to {float(probs.sum())!r}")
         object.__setattr__(self, "atoms", atoms)
 
 

@@ -388,11 +388,9 @@ def sample_passage_times(
 
 def write_samples_csv(times: PassageTimes, stream) -> None:
     """CSV with header tau,censored,steps; tau is blank for censored rows."""
+    censored = f",1,{times.cap}\n"
     stream.write("tau,censored,steps\n")
-    stream.writelines(
-        f"{'' if c else t},{int(c)},{s}\n"
-        for t, c, s in zip(times.tau.tolist(), times.censored.tolist(), times.steps.tolist())
-    )
+    stream.writelines([f"{t},0,{t}\n" if t >= 0 else censored for t in times.tau.tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ class TestMalformedSpecs:
     @pytest.mark.parametrize("command", ["analyze", "fit"])
     @pytest.mark.parametrize("text,message", [
         (HUGE_JUMP, "the step's second moment at (100.0, 0) is not finite"),
-        (json.dumps(SUM_DEFECT), "atom probabilities sum to np.float64(1.000000000005)"),
+        (json.dumps(SUM_DEFECT), "atom probabilities sum to 1.000000000005"),
     ], ids=["huge-jump", "sum-defect"])
     def test_fit_names_the_first_bad_state(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "spec.json"
@@ -240,6 +240,27 @@ class TestMalformedSpecs:
         write(tmp_path, "crw.json", CRW_NULL)
         (tmp_path / "truncated.json").write_text("[1")
         self.assert_one_line_exit_2(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "crw.json", "--out", "{missing}"],
+        ["fit", "--model", "crw.json", "--out", "{missing}"],
+        ["simulate", "--model", "crw.json", "--start", "50,1", "--level", "10", "--cap", "100",
+         "--n", "5", "--out", "{missing}"],
+        ["simulate", "--model", "crw.json", "--start", "50,1", "--level", "10", "--cap", "100",
+         "--n", "5", "--out", "tau.csv", "--summary", "{missing}"],
+        ["verify", "--model", "crw.json", "--cap", "200", "--n", "20", "--report", "{missing}"],
+        ["verify", "--model", "crw.json", "--cap", "200", "--n", "20", "--lyapunov",
+         "--out", "{missing}"],
+    ], ids=["analyze-out", "fit-out", "simulate-out", "simulate-summary", "verify-report",
+            "verify-out"])
+    def test_unwritable_output(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "crw.json", CRW_NULL)
+        missing = str(tmp_path / "no-such-dir" / "out")
+        assert main([a.format(missing=missing) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {missing}: No such file or directory\n")
+        assert not (tmp_path / "no-such-dir").exists()
 
     def test_fit_grid_point_not_positive(self, tmp_path, capsys):
         spec = write(tmp_path, "crw.json", CRW_NULL)
@@ -421,6 +442,61 @@ class TestVerify:
         assert "PASS lyapunov-ratio-nu-2" in out_text
         header = open(csv_path).readline()
         assert header == "nu,x,label,increment,leading,ratio\n"
+
+
+class TestOutputFiles:
+    """Output files are written in place and cut to length: the bytes on disk
+    are always those of a fresh write."""
+
+    @staticmethod
+    def run_twice(tmp_path, first, second):
+        """Run ``first`` then ``second`` into one path and ``second`` alone into
+        a fresh one; return both files' bytes."""
+        kept, fresh = tmp_path / "kept", tmp_path / "fresh"
+        for argv, out in ((first, kept), (second, kept), (second, fresh)):
+            assert main([*argv, "--out", str(out)]) == 0
+        return kept.read_bytes(), fresh.read_bytes()
+
+    def test_shorter_csv_over_longer(self, tmp_path, capsys):
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        argv = ["simulate", "--model", spec, "--start", "30,1", "--level", "5",
+                "--cap", "2000", "--seed", "3", "--n"]
+        kept, fresh = self.run_twice(tmp_path, [*argv, "300"], [*argv, "5"])
+        assert kept == fresh and kept.count(b"\n") == 6
+
+    def test_shorter_report_over_longer(self, tmp_path, capsys):
+        model = write(tmp_path, "crw.json", CRW_NULL)
+        coeffs = write(tmp_path, "coeffs.json", BOUNDARY_COEFFS)
+        kept, fresh = self.run_twice(tmp_path, ["analyze", "--model", model],
+                                     ["analyze", "--model", coeffs])
+        assert kept == fresh
+        assert json.loads(kept)["input"]["kind"] == "coefficients"
+
+    def test_same_report_twice(self, tmp_path, capsys):
+        argv = ["analyze", "--model", write(tmp_path, "crw.json", CRW_NULL)]
+        kept, fresh = self.run_twice(tmp_path, argv, argv)
+        assert kept == fresh
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "crw.json"],
+        ["simulate", "--model", "crw.json", "--start", "50,1", "--level", "10", "--cap", "100",
+         "--n", "5"],
+    ], ids=["analyze", "simulate"])
+    def test_dev_null(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "crw.json", CRW_NULL)
+        assert main([*argv, "--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_new_file_mode_follows_umask(self, tmp_path, capsys):
+        spec = write(tmp_path, "crw.json", CRW_NULL)
+        out = tmp_path / "report.json"
+        old = os.umask(0o027)
+        try:
+            assert main(["analyze", "--model", spec, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o640
 
 
 class TestOneParser:
